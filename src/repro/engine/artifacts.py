@@ -48,13 +48,14 @@ from repro.microarch.core import BaseCore
 ARTIFACT_FORMAT = "repro.golden-artifact"
 """Blob discriminator, so stray pickle files fail fast with a clean miss."""
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 """Blob layout version; bump on incompatible changes.  A store never reads
 a version it does not understand -- the artifact is simply re-recorded.
 
-Version 2: the fingerprint grid switched to the tree digest composition
-(header + latch banks + microarchitecture component), so version-1 grids
-are not comparable against either fingerprint path of this build."""
+Version 3: the fingerprint grid went back to one flat digest over a single
+pickled payload (header fields, latch key, microarchitecture key), so
+version-2 grids (per-bank / per-page composition) would never match a probe
+of this build -- convergence would silently stop firing."""
 
 ARTIFACT_SUFFIX = ".golden.pkl"
 """Filename suffix of every blob in a store directory."""

@@ -128,23 +128,17 @@ class _FingerprintRecorder:
     16-byte digest, not a state copy.
     """
 
-    def __init__(self, interval: int | None, max_fingerprints: int,
-                 rolling: bool = False):
+    def __init__(self, interval: int | None, max_fingerprints: int):
         self.adaptive = interval is None
         self.interval = interval if interval else max(
             1, INITIAL_FINGERPRINT_INTERVAL)
         self.max_fingerprints = max(1, max_fingerprints)
-        self.rolling = rolling
         self.fingerprints: dict[int, bytes] = {}
 
     def __call__(self, core: BaseCore, cycle: int) -> None:
         if cycle == 0 or cycle % self.interval != 0:
             return
-        # The rolling digest is bit-identical to the full one by contract,
-        # so a rolling-recorded grid is interchangeable with a full one --
-        # recording just pays O(dirty state) per grid point instead of O(n).
-        self.fingerprints[cycle] = (core.rolling_fingerprint() if self.rolling
-                                    else core.state_fingerprint())
+        self.fingerprints[cycle] = core.state_fingerprint()
         if self.adaptive and len(self.fingerprints) > self.max_fingerprints:
             self.interval *= 2
             self.fingerprints = {c: digest
@@ -158,7 +152,6 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
                                max_cycles: int = DEFAULT_MAX_CYCLES,
                                fingerprint_interval: int | None = None,
                                max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS,
-                               rolling: bool = False,
                                obs: Instrumentation | None = None,
                                ) -> CheckpointedGoldenRun:
     """Run ``program`` on ``core`` once, recording snapshots + fingerprints.
@@ -170,9 +163,7 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
     same way for the dense convergence grid: ``None`` adapts from a grid
     :data:`FINGERPRINT_DENSITY` times finer than the snapshot grid, ``0``
     records no fingerprints (injected runs always simulate to termination --
-    the pre-convergence baseline).  ``rolling=True`` records the grid through
-    :meth:`BaseCore.rolling_fingerprint` (bit-identical digests, O(dirty
-    state) per grid point).
+    the pre-convergence baseline).
 
     ``obs`` (see :mod:`repro.obs`) wraps the recording in a
     ``golden.record`` span/timer and counts recorded cycles, snapshots and
@@ -191,8 +182,7 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
     fingerprinter = None
     if fingerprint_interval != 0:
         fingerprinter = _FingerprintRecorder(fingerprint_interval,
-                                             max_fingerprints,
-                                             rolling=rolling)
+                                             max_fingerprints)
         hooks.append(fingerprinter)
     if not hooks:
         hook = None
@@ -342,16 +332,10 @@ class GoldenRunCache:
             max_cycles: int = DEFAULT_MAX_CYCLES,
             fingerprint_interval: int | None = None,
             max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS,
-            rolling: bool = False,
             obs: Instrumentation | None = None,
             ) -> CheckpointedGoldenRun:
         """Return the checkpointed golden run: memory, then the artifact
-        store, then recording (persisting the fresh recording).
-
-        ``rolling`` only shapes how a cache-missing run is *recorded* (the
-        rolling digest is bit-identical by contract), so it is deliberately
-        not part of the cache key: rolling and full engines share artifacts.
-        """
+        store, then recording (persisting the fresh recording)."""
         key = golden_run_key(core, program, interval=interval,
                              max_checkpoints=max_checkpoints,
                              max_cycles=max_cycles,
@@ -377,7 +361,7 @@ class GoldenRunCache:
                 core, program, interval=interval,
                 max_checkpoints=max_checkpoints, max_cycles=max_cycles,
                 fingerprint_interval=fingerprint_interval,
-                max_fingerprints=max_fingerprints, rolling=rolling, obs=obs)
+                max_fingerprints=max_fingerprints, obs=obs)
             if self.store is not None and \
                     self.store.save_key(key, recorded) is not None:
                 self.artifacts_saved += 1

@@ -129,18 +129,6 @@ class EngineConfig:
             static up-front sharding, kept for benchmarking.  Either way
             chunk results merge in chunk-index order, so outcomes are
             bit-identical.
-        rolling_fingerprints: serve convergence probes from
-            :meth:`~repro.microarch.core.BaseCore.rolling_fingerprint` --
-            the tree digest with write-invalidated component caches, costing
-            O(state touched since the previous probe) instead of O(total
-            state).  Rolling and full digests are byte-identical at every
-            grid cycle by construction, so outcomes are bit-identical
-            either way; ``False`` (default) keeps the full digest.
-        fingerprint_audit_interval: with rolling fingerprints on, cross-check
-            every N-th rolling probe against the freshly-computed full
-            digest and fail loudly (RuntimeError) on disagreement -- the
-            runtime leg of the rolling == full contract, next to the static
-            ``state-coverage`` audit.  ``0`` disables the audit.
         adaptive_check_spacing: learn a per-site convergence probe schedule
             (:mod:`repro.engine.schedule`) across this engine's campaigns:
             fast-reconverging sites keep dense early probes then back off
@@ -165,8 +153,6 @@ class EngineConfig:
     artifact_dir: str | Path | None = None
     parallel_threshold: int = 64
     work_stealing: bool = True
-    rolling_fingerprints: bool = False
-    fingerprint_audit_interval: int = 64
     adaptive_check_spacing: bool = False
 
     @property
@@ -234,8 +220,7 @@ class InjectionEngine:
             max_cycles=self.config.max_cycles,
             fingerprint_interval=(self.config.convergence_interval
                                   if self.config.convergence_enabled else 0),
-            max_fingerprints=self.config.max_fingerprints,
-            rolling=self.config.rolling_fingerprints, obs=obs)
+            max_fingerprints=self.config.max_fingerprints, obs=obs)
 
     # ------------------------------------------------------------------ planning
     def resolve_plan(self, plan: list[Injection]) -> list[PlannedInjection]:
@@ -347,10 +332,6 @@ class InjectionEngine:
                                 batch_width=config.batch_width,
                                 metrics=config.metrics,
                                 trace=config.trace_enabled,
-                                rolling=config.rolling_fingerprints,
-                                audit_interval=(
-                                    config.fingerprint_audit_interval
-                                    if config.rolling_fingerprints else 0),
                                 schedule_plans=schedule_plans)
             outcomes = OutcomeCounts()
             per_site: dict[int, OutcomeCounts] = {}

@@ -49,9 +49,6 @@ from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
     COUNT_CONVERGED,
     COUNT_FINGERPRINT_CHECKS,
-    COUNT_FINGERPRINT_COMPONENTS,
-    COUNT_FINGERPRINT_FULL,
-    COUNT_FINGERPRINT_ROLLING,
     COUNT_REPLAYS,
     CYCLES_FASTFORWARD,
     CYCLES_LOCKSTEP,
@@ -105,13 +102,9 @@ class CampaignSpec:
     and both flags off is the pre-observability fast path (no clock reads,
     no span objects).
 
-    ``rolling`` switches convergence probes (and the batched engine's
-    eviction probes) to :meth:`~repro.microarch.core.BaseCore.
-    rolling_fingerprint`; ``audit_interval`` cross-checks every N-th
-    rolling probe against the full digest (0 disables the audit).
     ``schedule_plans`` carries the engine's adaptive per-site probe
     schedules, keyed by flat fault-site index; None probes every grid
-    cycle.  All three only shape *when and how* probes run -- outcomes are
+    cycle.  Schedules only shape *when* probes run -- outcomes are
     bit-identical regardless (see :mod:`repro.engine.schedule`).
     """
 
@@ -122,8 +115,6 @@ class CampaignSpec:
     batch_width: int = 0
     metrics: bool = False
     trace: bool = False
-    rolling: bool = False
-    audit_interval: int = 0
     schedule_plans: dict[int, SitePlan] | None = None
 
 
@@ -271,7 +262,6 @@ class _ConvergedEarly(Exception):
 def _convergence_hook(inner: CycleHook, injection_cycle: int,
                       checkpointed: CheckpointedGoldenRun,
                       metrics: MetricsRegistry = NULL_METRICS,
-                      rolling: bool = False, audit_interval: int = 0,
                       plan: SitePlan | None = None) -> CycleHook:
     """Wrap the injection hook with the fingerprint convergence check.
 
@@ -284,13 +274,9 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
     scheduled a recovery, or diverged in output can never match) and
     simulation can stop on the spot.
 
-    ``rolling`` probes with :meth:`~repro.microarch.core.BaseCore.
-    rolling_fingerprint` (O(dirty state) per probe); ``audit_interval`` > 0
-    additionally recomputes the full digest on every N-th rolling probe and
-    raises ``RuntimeError`` on disagreement -- the runtime leg of the
-    rolling == full contract.  ``plan`` (a :class:`~repro.engine.schedule.
-    SitePlan`) thins the probe grid adaptively; grid points it skips can
-    only delay the early-out, never change the outcome.
+    ``plan`` (a :class:`~repro.engine.schedule.SitePlan`) thins the probe
+    grid adaptively; grid points it skips can only delay the early-out,
+    never change the outcome.
 
     ``metrics`` counts the grid probes and, when timing is enabled, the
     per-probe latency (detailed instrumentation only; the default is the
@@ -300,10 +286,8 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
     fingerprints = checkpointed.fingerprints
     interval = checkpointed.fingerprint_interval
     base_point = injection_cycle // interval
-    rolling_probes = 0
 
     def hook(core: BaseCore, cycle: int) -> None:
-        nonlocal rolling_probes
         inner(core, cycle)
         if cycle <= injection_cycle or cycle % interval:
             return
@@ -314,37 +298,15 @@ def _convergence_hook(inner: CycleHook, injection_cycle: int,
                 and not plan.should_check(cycle // interval - base_point):
             return
         metrics.inc(COUNT_FINGERPRINT_CHECKS)
-        detailed = metrics.enabled
-        if detailed:
-            rehashed_before = core.fingerprint_rehash_count()
         timed = metrics.timing
         if timed:
             start = time.perf_counter()
-        if rolling:
-            digest = core.rolling_fingerprint()
-        else:
-            digest = core.state_fingerprint()
+        digest = core.state_fingerprint()
         if timed:
             elapsed = time.perf_counter() - start
             metrics.add_time(PHASE_CONVERGENCE, elapsed)
             metrics.observe_wall(HISTOGRAM_CHECK_LATENCY_US,
                                  int(elapsed * 1e6))
-        if detailed:
-            metrics.inc(COUNT_FINGERPRINT_ROLLING if rolling
-                        else COUNT_FINGERPRINT_FULL)
-            metrics.inc(COUNT_FINGERPRINT_COMPONENTS,
-                        core.fingerprint_rehash_count() - rehashed_before)
-        if rolling:
-            rolling_probes += 1
-            if audit_interval and rolling_probes % audit_interval == 0:
-                if detailed:
-                    metrics.inc(COUNT_FINGERPRINT_FULL)
-                if digest != core.state_fingerprint():
-                    raise RuntimeError(
-                        f"rolling fingerprint diverged from the full digest "
-                        f"at cycle {cycle}: a component cache went stale "
-                        f"(state mutated outside the dirty-tracking path; "
-                        f"see the state-coverage audit rule)")
         if digest == expected:
             raise _ConvergedEarly(cycle)
 
@@ -385,7 +347,6 @@ def replay_planned_injection(core: BaseCore, program: Program,
                              checkpointed: CheckpointedGoldenRun,
                              convergence: bool = True,
                              obs: Instrumentation | None = None,
-                             rolling: bool = False, audit_interval: int = 0,
                              plan: SitePlan | None = None) -> Replay:
     """Run one injection, fast-forwarding from the nearest golden snapshot
     and early-terminating once the run provably re-converges.
@@ -418,8 +379,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
         probe_metrics = (obs.metrics if obs is not None and obs.detailed
                          else NULL_METRICS)
         hook = _convergence_hook(hook, planned.injection.cycle, checkpointed,
-                                 metrics=probe_metrics, rolling=rolling,
-                                 audit_interval=audit_interval, plan=plan)
+                                 metrics=probe_metrics, plan=plan)
     snapshot = checkpointed.nearest(planned.injection.cycle)
     resumed_from = 0 if snapshot is None else snapshot.cycle
     tracing = obs is not None and obs.tracer.enabled
@@ -508,8 +468,6 @@ def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
                         spec.core, spec.program, planned, spec.checkpointed,
                         convergence=spec.convergence,
                         obs=obs if tracing or obs.detailed else None,
-                        rolling=spec.rolling,
-                        audit_interval=spec.audit_interval,
                         plan=(plans.get(planned.injection.flat_index)
                               if plans else None))
                 span.note(outcome=replay.outcome.name,

@@ -260,74 +260,16 @@ class BaseCore(ABC):
         """
         if self.latches is None:
             raise RuntimeError("core state was never finalised")
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(self._fingerprint_header())
-        digest.update(self.latches.fingerprint_digest_full())
-        digest.update(pickle.dumps(self._fingerprint_microarchitecture(),
-                                   protocol=4))
-        return digest.digest()
-
-    def rolling_fingerprint(self) -> bytes:
-        """Incremental variant of :meth:`state_fingerprint`.
-
-        Byte-identical to the full digest at every cycle -- both hash the
-        same header / latch-bank / microarchitecture component payloads in
-        the same order -- but the latch and memory components come from
-        write-invalidated caches, so a probe costs O(state touched since the
-        previous probe) instead of O(total state).  Subclasses opt
-        components in via :meth:`_rolling_microarchitecture`; the base
-        implementation simply delegates to the full key, which keeps the
-        equality guarantee for cores that never specialise it.
-
-        The engine cross-checks this equality at a sparse audit cadence
-        (``EngineConfig(fingerprint_audit_interval=...)``) and the test
-        suite property-tests it at every grid cycle.
-        """
-        if self.latches is None:
-            raise RuntimeError("core state was never finalised")
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(self._fingerprint_header())
-        digest.update(self.latches.fingerprint_digest())
-        digest.update(pickle.dumps(self._rolling_microarchitecture(),
-                                   protocol=4))
-        return digest.digest()
-
-    def _fingerprint_header(self) -> bytes:
-        """Shared architectural header of both fingerprint variants.
-
-        Cycle, retired count, output prefix, detection log and recovery
-        bookkeeping are a handful of scalars plus short tuples -- always
-        serialised fresh; caching would cost more than it saves.
-        """
         payload = (
             self._cycle, self._retired, self._recovery_cycles,
             self._pending_recovery, tuple(self._output),
             tuple((d.technique, d.cycle, d.detail, d.recovered)
                   for d in self._detections),
+            self.latches.fingerprint_key(),
+            self._fingerprint_microarchitecture(),
         )
-        return pickle.dumps(payload, protocol=4)
-
-    def _rolling_microarchitecture(self) -> tuple:
-        """Core-specific component of :meth:`rolling_fingerprint`.
-
-        Must equal :meth:`_fingerprint_microarchitecture` value-for-value at
-        every cycle, sourcing whatever components support it from their
-        rolling caches (e.g. ``MemorySystem.fingerprint_digest``).  The
-        default delegates to the full key, trading the speedup for
-        unconditional correctness.
-        """
-        return self._fingerprint_microarchitecture()
-
-    def fingerprint_rehash_count(self) -> int:
-        """Cumulative component re-serialisations by the rolling digest path.
-
-        Subclasses add their extra rolling components (e.g. memory pages);
-        the engine differences this around a probe to report
-        ``count.fingerprint.components_rehashed``.
-        """
-        if self.latches is None:
-            return 0
-        return self.latches.rehashed_banks
+        return hashlib.blake2b(pickle.dumps(payload, protocol=4),
+                               digest_size=16).digest()
 
     def restore(self, program: Program, snapshot: CoreSnapshot) -> None:
         """Adopt the state captured in ``snapshot`` for a run of ``program``.

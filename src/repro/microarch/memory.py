@@ -13,7 +13,6 @@ injections.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
 from repro.isa.program import (
@@ -57,17 +56,6 @@ DEFAULT_REGIONS = (
     MemoryRegion("output", DEFAULT_OUTPUT_BASE, 0x1_0000),
 )
 
-_PAGE_SHIFT = 10
-"""Fingerprint page granularity: byte address >> 10, i.e. 1 KiB pages.
-
-The memory contribution to a state fingerprint is, per non-empty page, an
-8-byte little-endian page id followed by the pickled sorted nonzero
-``(address, word)`` items of that page, pages in ascending id order.  Pages
-bound the cost of a rolling re-hash to the pages a write touched; the full
-and rolling digest paths byte-compare equal because they serialise the
-exact same per-page payloads.
-"""
-
 
 class MemorySystem:
     """Word-addressable simulated memory with region checking."""
@@ -77,20 +65,11 @@ class MemorySystem:
         self._words: dict[int, int] = {}
         # audit: allow[state-coverage] memoised view of _words, invalidated on every write; carries no state of its own
         self._fingerprint_cache: tuple[tuple[int, int], ...] | None = None
-        # audit: allow[state-coverage] memoised full digest of _words, invalidated on every write; carries no state of its own
-        self._digest_cache: bytes | None = None
-        # audit: allow[state-coverage] per-word dirty journal; consumed (and cleared) by fingerprint_digest, carries no state of its own
-        self._dirty_words: set[int] = set()
-        # audit: allow[state-coverage] rolling mirror of _words grouped by page; rebuilt from _words and the journal, carries no state of its own
-        self._page_words: dict[int, dict[int, int]] | None = None
-        # audit: allow[state-coverage] memoised per-page pickle payloads; rebuilt from _page_words whenever a page is dirty
-        self._page_bytes: dict[int, bytes] = {}
-        self.rehashed_pages = 0
 
     def reset(self, program: Program) -> None:
         """Clear memory and load the program's data segment."""
         self._words = dict(program.data.as_memory_image())
-        self._drop_fingerprint_caches()
+        self._fingerprint_cache = None
 
     # ------------------------------------------------------------------ checks
     def _check(self, address: int, *, aligned_to: int) -> None:
@@ -112,8 +91,6 @@ class MemorySystem:
         self._check(address, aligned_to=WORD_BYTES)
         self._words[address] = value & 0xFFFFFFFF
         self._fingerprint_cache = None
-        self._digest_cache = None
-        self._dirty_words.add(address)
 
     def load_byte(self, address: int) -> int:
         self._check(address, aligned_to=1)
@@ -135,8 +112,6 @@ class MemorySystem:
         word |= (value & 0xFF) << shift
         self._words[word_address] = word
         self._fingerprint_cache = None
-        self._digest_cache = None
-        self._dirty_words.add(word_address)
 
     # ------------------------------------------------------------------ checkpointing
     def snapshot_words(self) -> dict[int, int]:
@@ -146,15 +121,7 @@ class MemorySystem:
     def restore_words(self, words: dict[int, int]) -> None:
         """Replace memory contents with a copy captured by :meth:`snapshot_words`."""
         self._words = dict(words)
-        self._drop_fingerprint_caches()
-
-    def _drop_fingerprint_caches(self) -> None:
-        """Invalidate every fingerprint cache after a wholesale replacement."""
         self._fingerprint_cache = None
-        self._digest_cache = None
-        self._dirty_words.clear()
-        self._page_words = None
-        self._page_bytes.clear()
 
     def fingerprint_key(self) -> tuple[tuple[int, int], ...]:
         """Canonical hashable key over memory contents (sorted nonzero words).
@@ -170,75 +137,6 @@ class MemorySystem:
             self._fingerprint_cache = tuple(sorted(
                 item for item in self._words.items() if item[1]))
         return self._fingerprint_cache
-
-    # ------------------------------------------------------------------ digests
-    @staticmethod
-    def _combined_page_digest(page_bytes: dict[int, bytes]) -> bytes:
-        """Concatenate per-page payloads in ascending page-id order."""
-        return b"".join(page.to_bytes(8, "little") + page_bytes[page]
-                        for page in sorted(page_bytes))
-
-    def fingerprint_digest_full(self) -> bytes:
-        """Canonical page-wise digest of memory contents, from scratch.
-
-        Same zero-normalisation as :meth:`fingerprint_key` (an explicitly
-        stored zero and a never-touched word are indistinguishable).  The
-        result is cached and write-invalidated, so back-to-back digests of
-        a quiet memory are a cache hit.
-        """
-        if self._digest_cache is None:
-            pages: dict[int, list[tuple[int, int]]] = {}
-            for address, value in self._words.items():
-                if value:
-                    pages.setdefault(address >> _PAGE_SHIFT, []).append(
-                        (address, value))
-            self._digest_cache = self._combined_page_digest(
-                {page: pickle.dumps(tuple(sorted(items)), protocol=4)
-                 for page, items in pages.items()})
-        return self._digest_cache
-
-    def fingerprint_digest(self) -> bytes:
-        """Rolling variant of :meth:`fingerprint_digest_full`.
-
-        Maintains a page-grouped mirror of the nonzero words plus per-page
-        payload caches, consuming the per-word dirty journal so only pages
-        written since the previous call are re-serialised.  Byte-identical
-        to the full digest at every call, by construction.
-        """
-        page_words = self._page_words
-        if page_words is None:
-            page_words = self._page_words = {}
-            for address, value in self._words.items():
-                if value:
-                    page_words.setdefault(address >> _PAGE_SHIFT, {})[address] = value
-            dirty_pages = set(page_words)
-            self._page_bytes.clear()
-        else:
-            dirty_pages = set()
-            for address in self._dirty_words:
-                page = address >> _PAGE_SHIFT
-                value = self._words.get(address, 0)
-                members = page_words.get(page)
-                if value:
-                    if members is None:
-                        members = page_words[page] = {}
-                    members[address] = value
-                    dirty_pages.add(page)
-                elif members is not None and address in members:
-                    del members[address]
-                    if not members:
-                        del page_words[page]
-                        self._page_bytes.pop(page, None)
-                    dirty_pages.add(page)
-        self._dirty_words.clear()
-        for page in dirty_pages:
-            members = page_words.get(page)
-            if members is None:
-                continue  # page went all-zero; payload already dropped
-            self._page_bytes[page] = pickle.dumps(
-                tuple(sorted(members.items())), protocol=4)
-            self.rehashed_pages += 1
-        return self._combined_page_digest(self._page_bytes)
 
     # ------------------------------------------------------------------ export
     def dump_region(self, name: str) -> dict[int, int]:

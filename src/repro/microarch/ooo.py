@@ -305,26 +305,12 @@ class OutOfOrderCore(BaseCore):
         self._fetch_stalled = micro["fetch_stalled"]
 
     def _fingerprint_microarchitecture(self) -> tuple:
-        return (tuple(self.registers), self.memory.fingerprint_digest_full(),
+        return (tuple(self.registers), self.memory.fingerprint_key(),
                 tuple((op.rob_index, int(op.opcode), op.rs1_value,
                        op.rs2_value, op.imm, op.pc, op.remaining_cycles,
                        op.is_load, op.load_address)
                       for op in self._in_flight),
                 self._fetch_stalled)
-
-    def _rolling_microarchitecture(self) -> tuple:
-        # Must stay field-for-field parallel with the full key above; memory
-        # is the only component with a rolling cache (the in-flight window
-        # churns every cycle, so caching its tuple would never hit).
-        return (tuple(self.registers), self.memory.fingerprint_digest(),
-                tuple((op.rob_index, int(op.opcode), op.rs1_value,
-                       op.rs2_value, op.imm, op.pc, op.remaining_cycles,
-                       op.is_load, op.load_address)
-                      for op in self._in_flight),
-                self._fetch_stalled)
-
-    def fingerprint_rehash_count(self) -> int:
-        return super().fingerprint_rehash_count() + self.memory.rehashed_pages
 
     # ------------------------------------------------------------------ cycle
     def _step_cycle(self) -> None:

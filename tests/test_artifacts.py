@@ -130,18 +130,22 @@ class TestBlobIntegrity:
         assert store.stats().errors == 1
 
     def test_version_mismatch_re_records(self, store, program):
+        # Older blobs matter as much as newer ones: a stale grid recorded
+        # under a previous digest encoding would never match a probe.
         digest, artifact = _save_one(store, program)
         payload = pickle.dumps(artifact, protocol=4)
         import hashlib
 
-        store.path_for(digest).write_bytes(pickle.dumps({
-            "format": ARTIFACT_FORMAT, "version": ARTIFACT_VERSION + 1,
-            "key": digest, "payload": payload,
-            "payload_digest": hashlib.blake2b(payload,
-                                              digest_size=16).digest(),
-        }, protocol=4))
-        assert store.load(digest) is None
-        assert store.stats().errors == 1
+        stale_versions = (ARTIFACT_VERSION + 1, ARTIFACT_VERSION - 1)
+        for errors, version in enumerate(stale_versions, start=1):
+            store.path_for(digest).write_bytes(pickle.dumps({
+                "format": ARTIFACT_FORMAT, "version": version,
+                "key": digest, "payload": payload,
+                "payload_digest": hashlib.blake2b(payload,
+                                                  digest_size=16).digest(),
+            }, protocol=4))
+            assert store.load(digest) is None
+            assert store.stats().errors == errors
 
     def test_foreign_pickle_re_records(self, store, program):
         digest = artifact_digest(InOrderCore(), program)

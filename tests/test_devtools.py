@@ -172,33 +172,6 @@ def synthetic_core(attr: str, capture: bool, restore: bool,
         """)
 
 
-def rolling_core(rolling_covers: bool, suppressed: bool = False) -> str:
-    """A BaseCore subclass defining both micro-key sides in its own body."""
-    comment = ("# audit: allow[state-coverage] rolling side reads a cache\n"
-               "                " if suppressed else "")
-    return textwrap.dedent(f"""
-        class RollingCore(BaseCore):
-            def __init__(self):
-                super().__init__()
-                {comment}self._buffer = []
-
-            def advance(self):
-                self._buffer.append(1)
-
-            def snapshot(self):
-                return (list(self._buffer),)
-
-            def restore(self, state):
-                self._buffer = list(state[0])
-
-            def _fingerprint_microarchitecture(self):
-                return tuple(self._buffer)
-
-            def _rolling_microarchitecture(self):
-                return {'tuple(self._buffer)' if rolling_covers else '()'}
-        """)
-
-
 class TestStateCoverage:
     def test_flags_unfingerprinted_mutable_attribute(self):
         findings = audit_source(synthetic_core("_scratch", True, True, False))
@@ -242,32 +215,6 @@ class TestStateCoverage:
             assert len(findings) == 1
             assert findings[0].rule_id == "state-coverage"
             assert f".{attr} " in findings[0].message
-
-    def test_rolling_gap_is_flagged_at_the_declaration(self):
-        findings = audit_source(rolling_core(rolling_covers=False),
-                                select=["state-coverage"])
-        assert [f.rule_id for f in findings] == ["state-coverage"]
-        assert "_buffer" in findings[0].message
-        assert "rolling" in findings[0].message
-        # Anchored at the __init__ declaration so a reasoned suppression
-        # there adjudicates the attribute once, for both contract checks.
-        assert findings[0].line == 5
-
-    def test_symmetric_rolling_path_is_clean(self):
-        assert audit_source(rolling_core(rolling_covers=True),
-                            select=["state-coverage"]) == []
-
-    def test_rolling_gap_suppression_at_declaration(self):
-        assert audit_source(rolling_core(rolling_covers=False,
-                                         suppressed=True),
-                            select=["state-coverage"]) == []
-
-    def test_inherited_rolling_side_is_not_held_to_symmetry(self):
-        # Only classes defining BOTH sides in their own body can introduce
-        # an asymmetry; a plain core inheriting the delegating default
-        # (rolling == full by construction) must not flag.
-        assert audit_source(synthetic_core("_scratch", True, True, True),
-                            select=["state-coverage"]) == []
 
     @pytest.fixture(scope="class")
     def real_core_modules(self):

@@ -41,8 +41,9 @@ from repro.faultinjection import (
     exhaustive_site_plan,
     uniform_injection_plan,
 )
-from repro.isa.program import DataSegment
+from repro.isa.program import DEFAULT_DATA_BASE, DataSegment
 from repro.microarch import InOrderCore, OutOfOrderCore
+from repro.microarch.memory import MemorySystem
 from repro.workloads import workload_by_name
 
 CORE_CLASSES = (InOrderCore, OutOfOrderCore)
@@ -234,18 +235,72 @@ class TestStateFingerprint:
             second.step()
 
     @pytest.mark.parametrize("core_cls", CORE_CLASSES, ids=lambda c: c.__name__)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
     def test_flip_changes_fingerprint_and_restore_recovers_it(self, core_cls,
-                                                              program):
+                                                              program, data):
         core = core_cls()
         core.reset(program)
         for _ in range(30):
             core.step()
         snapshot = core.snapshot()
         reference = core.state_fingerprint()
-        core.latches.flip_flat(0)
+        flat_index = data.draw(st.integers(
+            min_value=0, max_value=core.registry.total_flip_flops - 1),
+            label="flat_index")
+        core.latches.flip_flat(flat_index)
         assert core.state_fingerprint() != reference
         core.restore(program, snapshot)
         assert core.state_fingerprint() == reference
+
+    @pytest.mark.parametrize("core_cls", CORE_CLASSES, ids=lambda c: c.__name__)
+    def test_restore_recovers_the_snapshot_time_fingerprint(self, core_cls,
+                                                            program):
+        # The memory key cache is primed with terminal state before the
+        # restore; the restored core must not hash any of it.
+        core = core_cls()
+        captured = []
+
+        def hook(c, cycle):
+            if cycle == 64:
+                captured.append((c.snapshot(), c.state_fingerprint()))
+
+        core.run(program, max_cycles=600, cycle_hook=hook)
+        core.state_fingerprint()
+        snapshot, reference = captured[0]
+        core.restore(program, snapshot)
+        assert core.state_fingerprint() == reference
+
+    def test_memory_key_of_empty_and_zeroed_memory_is_empty(self):
+        memory = MemorySystem()
+        assert memory.fingerprint_key() == ()
+        memory.store_word(DEFAULT_DATA_BASE, 7)
+        assert memory.fingerprint_key() == ((DEFAULT_DATA_BASE, 7),)
+        # Storing zero is architecturally a deletion.
+        memory.store_word(DEFAULT_DATA_BASE, 0)
+        assert memory.fingerprint_key() == ()
+
+    def test_memory_key_cache_tracks_byte_and_cross_page_stores(self):
+        memory = MemorySystem()
+        memory.store_word(DEFAULT_DATA_BASE, 0x11223344)
+        memory.fingerprint_key()  # prime the cache before the byte store
+        memory.store_byte(DEFAULT_DATA_BASE + 2, 0xAB)
+        memory.store_word(DEFAULT_DATA_BASE + 4096, 5)
+        assert memory.fingerprint_key() == (
+            (DEFAULT_DATA_BASE, 0x11AB3344), (DEFAULT_DATA_BASE + 4096, 5))
+        assert memory.load_byte(DEFAULT_DATA_BASE + 2) == 0xAB
+
+    def test_memory_key_cache_is_rebuilt_by_restore_words(self):
+        memory = MemorySystem()
+        memory.store_word(DEFAULT_DATA_BASE, 1)
+        memory.store_word(DEFAULT_DATA_BASE + 2048, 2)
+        key = memory.fingerprint_key()
+        image = memory.snapshot_words()
+        memory.store_word(DEFAULT_DATA_BASE, 9)
+        memory.store_word(DEFAULT_DATA_BASE + 8192, 3)
+        assert memory.fingerprint_key() != key
+        memory.restore_words(image)
+        assert memory.fingerprint_key() == key
 
     def test_memory_key_normalises_explicit_zero_words(self, program):
         """A stored zero and a never-touched word load identically, so the
@@ -261,6 +316,39 @@ class TestStateFingerprint:
         assert core.memory.fingerprint_key() == key
         core.memory.store_word(untouched, 7)
         assert core.memory.fingerprint_key() != key
+
+    @settings(max_examples=30, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=63),
+                  st.integers(min_value=0, max_value=2**32 - 1),
+                  st.sampled_from(["word", "byte", "restore"]),
+                  st.booleans()),
+        max_size=40))
+    def test_memory_key_cache_tracks_any_store_sequence(self, ops):
+        """The cached memory key is the memory component of every digest:
+        after any mix of word/byte stores and wholesale restores it must
+        equal a key built from scratch, or a stale cache would declare a
+        divergent replay converged."""
+        memory = MemorySystem()
+        image = memory.snapshot_words()
+
+        def from_scratch():
+            return tuple(sorted(item for item in memory.snapshot_words().items()
+                                if item[1]))
+
+        for slot, value, op, probe in ops:
+            address = DEFAULT_DATA_BASE + 4 * slot * 521
+            if op == "word":
+                memory.store_word(address, value)
+            elif op == "byte":
+                memory.store_byte(address + value % 4, value)
+            else:  # swap in the other image, keeping this one for later
+                current = memory.snapshot_words()
+                memory.restore_words(image)
+                image = current
+            if probe:
+                assert memory.fingerprint_key() == from_scratch()
+        assert memory.fingerprint_key() == from_scratch()
 
     def test_output_prefix_is_fingerprinted(self, program):
         core = InOrderCore()
