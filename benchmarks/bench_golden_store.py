@@ -1,4 +1,4 @@
-"""Persistent golden-artifact store: cold vs warm starts, stealing vs static.
+"""Persistent golden-artifact store: cold vs warm starts, serial vs parallel.
 
 Two row groups, both on the mcf workload (7.4k golden cycles on the
 InO-core), persisted to ``BENCH_golden_store.json``.
@@ -19,11 +19,11 @@ golden recordings, and all three rows must report bit-identical statistics
 (both asserted).
 
 **Execution schedule** (batched campaign, N=120, width 16): serial vs
-``workers=2`` with static up-front sharding vs the work-stealing guided
-chunk queue.  All three must be bit-identical (asserted); on multi-core
-hosts work stealing must be >= serial (asserted when ``os.cpu_count() >=
-2`` -- a single-core container cannot speed anything up by adding
-processes, but the schedule comparison rows are still recorded there).
+``workers=2`` static shards, both starting warm from the store.  Both must
+be bit-identical (asserted); on multi-core hosts the parallel row must be
+>= serial (asserted when ``os.cpu_count() >= 2`` -- a single-core
+container cannot speed anything up by adding processes, but the schedule
+rows are still recorded there).
 """
 
 from __future__ import annotations
@@ -116,14 +116,11 @@ def bench_golden_store(benchmark):
             # --------------------------------------------- execution schedule
             schedules = [
                 ("serial", EngineConfig(batch_width=BATCH_WIDTH)),
-                (f"parallel x{WORKERS}, static shards",
+                (f"parallel x{WORKERS}",
                  EngineConfig(batch_width=BATCH_WIDTH, workers=WORKERS,
-                              parallel_threshold=0, work_stealing=False)),
-                (f"parallel x{WORKERS}, work stealing",
-                 EngineConfig(batch_width=BATCH_WIDTH, workers=WORKERS,
-                              parallel_threshold=0, work_stealing=True)),
+                              parallel_threshold=0)),
             ]
-            serial_rate = stealing_rate = None
+            serial_rate = parallel_rate = None
             schedule_ref = None
             for label, config in schedules:
                 cache = GoldenRunCache(store=GoldenArtifactStore(store_dir))
@@ -139,18 +136,18 @@ def bench_golden_store(benchmark):
                 rate = SCHEDULE_INJECTIONS / elapsed
                 if label == "serial":
                     serial_rate = rate
-                if "work stealing" in label:
-                    stealing_rate = rate
+                else:
+                    parallel_rate = rate
                 rows.append(["execution schedule", label,
                              SCHEDULE_INJECTIONS, stats.artifacts_loaded,
                              stats.recorded, f"{elapsed:.2f}s",
                              f"{rate:.1f}"])
             if (os.cpu_count() or 1) >= 2:
-                assert stealing_rate >= serial_rate, (
-                    f"work stealing ({stealing_rate:.1f} inj/s) lost to "
+                assert parallel_rate >= serial_rate, (
+                    f"parallel x{WORKERS} ({parallel_rate:.1f} inj/s) lost to "
                     f"serial ({serial_rate:.1f} inj/s) on a multi-core host")
-            rows.append(["execution schedule", "stealing vs serial", "-", "-",
-                         "-", "-", f"{stealing_rate / serial_rate:.2f}x"])
+            rows.append(["execution schedule", "parallel vs serial", "-", "-",
+                         "-", "-", f"{parallel_rate / serial_rate:.2f}x"])
         finally:
             shutil.rmtree(store_dir, ignore_errors=True)
         return rows

@@ -11,7 +11,7 @@ that leaked shard-completion order).  Two rules keep both properties:
   stateful objects.  Module-level functions are the contract
   (``ShardFunction`` in ``engine/executors.py``).
 * ``completion-order-fold`` -- a ``for`` loop directly over
-  ``.stream(...)`` / ``.run_chunks(...)`` observes completion order; its
+  ``.stream(...)`` observes completion order; its
   body must consume ``<result>.index`` (indexed fold into a preallocated
   slot table, or an explicit sort) or carry a reasoned suppression.
 """
@@ -26,7 +26,7 @@ from repro.devtools.rules import (Project, Rule, enclosing_functions,
                                   register, tail_name)
 
 _DISPATCH_ATTRS = frozenset({"stream", "submit"})
-_STREAM_ATTRS = frozenset({"stream", "run_chunks"})
+_STREAM_ATTRS = frozenset({"stream"})
 
 
 @register
@@ -102,9 +102,9 @@ class CompletionOrderFoldRule(Rule):
     """Result folds must be indexed by shard order, not completion order."""
 
     rule_id = "completion-order-fold"
-    summary = ("loops over executor .stream()/.run_chunks() observe "
-               "completion order; fold by <result>.index (slot table or "
-               "sort) so outcomes stay order-independent")
+    summary = ("loops over executor .stream() observe completion order; "
+               "fold by <result>.index (slot table or sort) so outcomes "
+               "stay order-independent")
 
     def check_module(self, module: SourceModule,
                      project: Project) -> Iterable[Finding]:

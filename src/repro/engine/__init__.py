@@ -4,8 +4,9 @@ The engine layers statistical injection campaigns on top of the core models'
 snapshot/restore support:
 
 * :mod:`repro.engine.checkpoint` -- golden runs recorded with periodic core
-  snapshots, plus the process-wide golden-run cache shared across protection
-  configurations;
+  snapshots and a fingerprint grid, the convergence hook that ends injected
+  runs early against that grid, plus the process-wide golden-run cache
+  shared across protection configurations;
 * :mod:`repro.engine.artifacts` -- the content-addressed persistent
   golden-artifact store: checkpointed golden runs serialised to versioned,
   integrity-guarded on-disk blobs, making the golden cache two-tier
@@ -13,15 +14,16 @@ snapshot/restore support:
   workers start warm;
 * :mod:`repro.engine.executors` -- pluggable serial / process-pool executors
   that replay pre-resolved injection shards and stream aggregates back;
-* :mod:`repro.engine.engine` -- :class:`InjectionEngine`, the campaign front
-  door, and the engine-backed suite runner;
+* :mod:`repro.engine.engine` -- :class:`InjectionEngine`, the one entry point
+  for injection campaigns, and :func:`run_suite_campaign`, which runs it
+  over a workload suite into one vulnerability map;
 * :mod:`repro.engine.batch` -- batched lockstep replay: numpy-vectorised
   injection wavefronts behind the :attr:`EngineConfig.batch_width` knob.
   It is imported lazily (only when a campaign enables batching) so that the
   rest of the engine works on numpy-free installs.
 
-The legacy :class:`repro.faultinjection.campaign.InjectionCampaign` API is a
-thin shim over this package.
+Campaigns return :class:`repro.faultinjection.CampaignResult`, re-exported
+here.
 """
 
 from repro.engine.artifacts import (
@@ -58,7 +60,6 @@ from repro.engine.executors import (
     execute_chunk,
     replay_planned_injection,
     shard_plan,
-    shard_plan_guided,
 )
 
 __all__ = [
@@ -89,5 +90,4 @@ __all__ = [
     "execute_chunk",
     "replay_planned_injection",
     "shard_plan",
-    "shard_plan_guided",
 ]

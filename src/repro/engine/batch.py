@@ -75,15 +75,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.engine.checkpoint import CheckpointedGoldenRun
+from repro.engine.checkpoint import (
+    CheckpointedGoldenRun,
+    ConvergedEarly,
+    convergence_hook,
+)
 from repro.engine.executors import (
     ChunkResult,
     ChunkSpec,
     CampaignSpec,
     PlannedInjection,
     Replay,
-    _ConvergedEarly,
-    _convergence_hook,
     fold_scalar_replay,
     replay_planned_injection,
 )
@@ -728,7 +730,7 @@ class _StreamingWavefront:
         hook = None
         if self._gate:
             probe_metrics = obs.metrics if obs.detailed else NULL_METRICS
-            hook = _convergence_hook(
+            hook = convergence_hook(
                 _noop_hook, record.planned.injection.cycle,
                 self._checkpointed, metrics=probe_metrics,
                 plan=self._schedule_plans.get(
@@ -740,7 +742,7 @@ class _StreamingWavefront:
                           "from_cycle": start_cycle}):
                 with obs.metrics.timer(PHASE_FALLBACK):
                     injected = core._run_loop(self._watchdog, hook)
-        except _ConvergedEarly as converged:
+        except ConvergedEarly as converged:
             synthesized = replace(golden, output=list(golden.output),
                                   detections=list(golden.detections))
             record.scalar_cycles += converged.cycle - start_cycle

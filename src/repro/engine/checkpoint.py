@@ -12,27 +12,42 @@ Golden runs depend only on (core, program) -- never on the protection
 configuration, which acts purely on injected runs -- so a
 :class:`GoldenRunCache` shares one recorded run across every protection
 config evaluated for the same workload.
+
+The golden run's fingerprint grid is also what ends injected runs early:
+:func:`convergence_hook` probes an injected core against it and raises
+:class:`ConvergedEarly` once the run provably re-joins the golden run.
 """
 
 from __future__ import annotations
 
 import bisect
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.engine.schedule import SitePlan
 from repro.isa.encoding import encode_instruction
 from repro.isa.program import Program
-from repro.microarch.core import BaseCore, CoreSnapshot, DEFAULT_MAX_CYCLES
+from repro.microarch.core import (
+    BaseCore,
+    CoreSnapshot,
+    CycleHook,
+    DEFAULT_MAX_CYCLES,
+)
 from repro.microarch.events import RunResult
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
     COUNT_ARTIFACTS_LOADED,
     COUNT_ARTIFACTS_SAVED,
+    COUNT_FINGERPRINT_CHECKS,
     COUNT_FINGERPRINTS,
     COUNT_GOLDEN_CACHE_HITS,
     COUNT_GOLDEN_RECORDS,
     COUNT_SNAPSHOTS,
     CYCLES_GOLDEN,
+    HISTOGRAM_CHECK_LATENCY_US,
+    PHASE_CONVERGENCE,
     PHASE_GOLDEN_RECORD,
 )
 
@@ -215,6 +230,68 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
         interval=checkpointer.interval if checkpointer else 0,
         fingerprints=fingerprinter.fingerprints if fingerprinter else {},
         fingerprint_interval=(fingerprinter.interval if fingerprinter else 0))
+
+
+class ConvergedEarly(Exception):
+    """Raised from the convergence hook to abort a provably-decided replay."""
+
+    def __init__(self, cycle: int):
+        super().__init__(f"re-converged with the golden run at cycle {cycle}")
+        self.cycle = cycle
+
+
+def convergence_hook(inner: CycleHook, injection_cycle: int,
+                     checkpointed: CheckpointedGoldenRun,
+                     metrics: MetricsRegistry = NULL_METRICS,
+                     plan: SitePlan | None = None) -> CycleHook:
+    """Wrap the injection hook with the fingerprint convergence check.
+
+    At fingerprint-grid cycles strictly after the injection, the injected
+    core's digest is compared against the golden grid.  The fingerprint
+    covers exactly the state a snapshot round-trips -- latches,
+    microarchitecture, memory, emitted-output prefix, detection/recovery
+    log -- so a match means the remainder of the run is bit-identical to
+    the golden run by construction (a run that raised a detection,
+    scheduled a recovery, or diverged in output can never match) and
+    simulation can stop on the spot (:class:`ConvergedEarly`).
+
+    ``plan`` (a :class:`~repro.engine.schedule.SitePlan`) thins the probe
+    grid adaptively; grid points it skips can only delay the early-out,
+    never change the outcome.
+
+    ``metrics`` counts the grid probes and, when timing is enabled, the
+    per-probe latency (detailed instrumentation only; the default is the
+    shared disabled registry, so the unmetered hook pays one no-op call per
+    probe next to a state digest).
+    """
+    fingerprints = checkpointed.fingerprints
+    interval = checkpointed.fingerprint_interval
+    base_point = injection_cycle // interval
+
+    def hook(core: BaseCore, cycle: int) -> None:
+        inner(core, cycle)
+        if cycle <= injection_cycle or cycle % interval:
+            return
+        expected = fingerprints.get(cycle)
+        if expected is None:
+            return
+        if plan is not None \
+                and not plan.should_check(cycle // interval - base_point):
+            return
+        metrics.inc(COUNT_FINGERPRINT_CHECKS)
+        timed = metrics.timing
+        if timed:
+            start = time.perf_counter()
+        digest = core.state_fingerprint()
+        if timed:
+            elapsed = time.perf_counter() - start
+            metrics.add_time(PHASE_CONVERGENCE, elapsed)
+            metrics.observe_wall(HISTOGRAM_CHECK_LATENCY_US,
+                                 int(elapsed * 1e6))
+        if digest == expected:
+            raise ConvergedEarly(cycle)
+
+    return hook
 
 
 def _program_fingerprint(program: Program) -> tuple:

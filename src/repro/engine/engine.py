@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.engine.checkpoint import (
     DEFAULT_MAX_CHECKPOINTS,
@@ -39,10 +38,11 @@ from repro.engine.executors import (
     ParallelExecutor,
     PlannedInjection,
     SerialExecutor,
+    execute_chunk,
     shard_plan,
-    shard_plan_guided,
 )
 from repro.engine.schedule import ConvergenceSchedule
+from repro.faultinjection.campaign import CampaignResult
 from repro.faultinjection.injector import (
     Injection,
     ProtectionProvider,
@@ -50,6 +50,7 @@ from repro.faultinjection.injector import (
     uniform_injection_plan,
 )
 from repro.faultinjection.outcomes import OutcomeCounts
+from repro.faultinjection.vulnerability import VulnerabilityMap
 from repro.isa.program import Program
 from repro.microarch.core import BaseCore, DEFAULT_MAX_CYCLES
 from repro.obs import Instrumentation
@@ -62,9 +63,6 @@ from repro.obs.phases import (
     SPAN_PLAN,
     replayed_cycle_total,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (campaign imports us lazily)
-    from repro.faultinjection.campaign import CampaignResult
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,9 @@ class EngineConfig:
         workers: worker-process count; ``1`` selects the serial executor.
         chunk_size: injections per work shard.  ``None`` derives a size that
             gives each worker a handful of chunks (load balancing without
-            drowning in per-chunk pickling).
+            drowning in per-chunk pickling), never fewer than
+            ``batch_width`` so each parallel chunk fills a lockstep
+            wavefront.
         max_cycles: golden-run watchdog.
         convergence: gate injected runs on golden-run fingerprint
             convergence -- once an injected core's full architectural state
@@ -123,12 +123,6 @@ class EngineConfig:
             small campaigns -- a measured regression at 30 injections).
             ``0`` disables the fallback; an explicitly passed executor is
             always honoured as given.
-        work_stealing: dispatch parallel shards pull-style over a shared
-            queue with guided decreasing chunk sizes (each worker takes the
-            next chunk the moment it finishes one).  ``False`` restores
-            static up-front sharding, kept for benchmarking.  Either way
-            chunk results merge in chunk-index order, so outcomes are
-            bit-identical.
         adaptive_check_spacing: learn a per-site convergence probe schedule
             (:mod:`repro.engine.schedule`) across this engine's campaigns:
             fast-reconverging sites keep dense early probes then back off
@@ -152,7 +146,6 @@ class EngineConfig:
     trace: bool | str | Path = False
     artifact_dir: str | Path | None = None
     parallel_threshold: int = 64
-    work_stealing: bool = True
     adaptive_check_spacing: bool = False
 
     @property
@@ -194,9 +187,7 @@ class InjectionEngine:
         if executor is not None:
             self._executor = executor
         elif self.config.workers > 1:
-            self._executor = ParallelExecutor(
-                workers=self.config.workers,
-                work_stealing=self.config.work_stealing)
+            self._executor = ParallelExecutor(workers=self.config.workers)
         else:
             self._executor = SerialExecutor()
         # Per-site probe-schedule learner; lives as long as the engine so
@@ -253,43 +244,28 @@ class InjectionEngine:
             return SerialExecutor()
         return self._executor
 
-    def _shard(self, planned: list[PlannedInjection],
-               executor: CampaignExecutor) -> list:
-        """Shard a resolved plan for ``executor``.
-
-        Work-stealing pools get guided decreasing-size chunks (unless an
-        explicit ``chunk_size`` pins the static schedule); everything else
-        keeps contiguous fixed-size chunks.  Both partitions preserve the
-        bit-exactness contract: results merge in chunk-index order and each
-        planned injection carries its pre-resolved lottery draw.
-        """
-        if (self.config.chunk_size is None
-                and isinstance(executor, ParallelExecutor)
-                and executor.work_stealing and executor.workers > 1):
-            # Late chunks never shrink below a lockstep wavefront's width.
-            return shard_plan_guided(planned, self.seed, executor.workers,
-                                     min_chunk=max(4, self.config.batch_width))
-        return shard_plan(planned, self.seed,
-                          self._chunk_size(len(planned), executor))
-
     def _chunk_size(self, plan_length: int,
-                    executor: CampaignExecutor | None = None) -> int:
+                    executor: CampaignExecutor) -> int:
         if self.config.chunk_size is not None:
             return max(1, self.config.chunk_size)
-        if executor is None:
-            executor = self._executor
         workers = getattr(executor, "workers", 1)
         if workers <= 1:
             return max(1, plan_length)
         # ~4 chunks per worker: enough slack to balance uneven replay costs
-        # (late injections replay fewer cycles than early ones).
-        return max(1, -(-plan_length // (workers * 4)))
+        # (late injections replay fewer cycles than early ones), but never
+        # narrower than a lockstep wavefront.
+        return max(1, self.config.batch_width,
+                   -(-plan_length // (workers * 4)))
 
     # ------------------------------------------------------------------ running
     def run(self, injections: int = 200,
             plan: list[Injection] | None = None) -> CampaignResult:
         """Run a campaign of ``injections`` uniform samples (or an explicit
         ``plan``) and aggregate the streamed chunk results.
+
+        ``run()`` is idempotent: the suppression lottery is re-drawn from
+        the campaign seed on every call, so use distinct seeds to collect
+        independent repetitions.
 
         Chunk results stream back in completion order but are buffered and
         *merged in chunk-index order*, so the aggregated metrics (float
@@ -298,8 +274,6 @@ class InjectionEngine:
         in any order -- which is what keeps the campaign's exactness
         contract independent of the instrumentation flags.
         """
-        from repro.faultinjection.campaign import CampaignResult
-
         config = self.config
         obs = Instrumentation.configure(metrics=config.metrics,
                                         trace=config.trace_enabled)
@@ -319,7 +293,8 @@ class InjectionEngine:
             with tracer.span(SPAN_PLAN, args={"injections": len(plan)}):
                 planned = self.resolve_plan(plan)
                 executor = self._select_executor(len(planned))
-                chunks = self._shard(planned, executor)
+                chunks = shard_plan(planned, self.seed,
+                                    self._chunk_size(len(planned), executor))
             schedule_plans = None
             if (self._schedule is not None and config.convergence_enabled
                     and checkpointed.fingerprint_interval > 0):
@@ -335,8 +310,9 @@ class InjectionEngine:
                                 schedule_plans=schedule_plans)
             outcomes = OutcomeCounts()
             per_site: dict[int, OutcomeCounts] = {}
-            chunk_results = sorted(executor.run_chunks(spec, chunks),
-                                   key=lambda result: result.index)
+            chunk_results = sorted(
+                executor.stream(spec, chunks, execute_chunk),
+                key=lambda result: result.index)
             for chunk_result in chunk_results:
                 outcomes = outcomes.merged_with(chunk_result.outcomes)
                 for flat_index, counts in chunk_result.per_site.items():
@@ -371,7 +347,8 @@ def run_suite_campaign(core: BaseCore, workloads,
                        protection: ProtectionProvider | None = None,
                        seed: int = 0, config: EngineConfig | None = None,
                        golden_cache: GoldenRunCache | None = None,
-                       max_cache_entries: int | None = None):
+                       max_cache_entries: int | None = None,
+                       ) -> tuple[VulnerabilityMap, list[CampaignResult]]:
     """Run engine-backed campaigns over workloads and build a vulnerability map.
 
     Returns ``(vulnerability_map, [CampaignResult, ...])``.  Workload ``i``
@@ -384,8 +361,6 @@ def run_suite_campaign(core: BaseCore, workloads,
     persistent golden-artifact store, so repeated suite runs load golden
     runs instead of re-recording them.
     """
-    from repro.faultinjection.vulnerability import VulnerabilityMap
-
     golden_cache = resolve_golden_cache(
         golden_cache, max_cache_entries,
         artifact_dir=config.artifact_dir if config is not None else None)

@@ -22,13 +22,12 @@ Two executors ship here:
   restrictions, sandboxes), execution transparently falls back to serial for
   the shards that have not completed.
 
-The campaign-specific ``run_chunks`` entry points remain as thin wrappers
-binding the generic layer to :func:`execute_chunk`.
+The injection engine binds this layer to campaigns by streaming
+:func:`execute_chunk` over :func:`shard_plan` chunks.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Protocol, TypeVar
 
@@ -40,9 +39,13 @@ from repro.faultinjection.injector import (
 )
 from repro.faultinjection.outcomes import OutcomeCategory, OutcomeCounts, classify_outcome
 from repro.isa.program import Program
-from repro.microarch.core import BaseCore, CycleHook
+from repro.microarch.core import BaseCore
 from repro.microarch.events import RunResult, TerminationReason
-from repro.engine.checkpoint import CheckpointedGoldenRun
+from repro.engine.checkpoint import (
+    CheckpointedGoldenRun,
+    ConvergedEarly,
+    convergence_hook,
+)
 from repro.engine.schedule import SitePlan
 from repro.obs import Instrumentation, MetricsRegistry
 from repro.obs.metrics import NULL_METRICS
@@ -54,7 +57,6 @@ from repro.obs.phases import (
     CYCLES_LOCKSTEP,
     CYCLES_SAVED,
     CYCLES_SCALAR,
-    HISTOGRAM_CHECK_LATENCY_US,
     HISTOGRAM_REPLAY_CYCLES,
     PHASE_CONVERGENCE,
     PHASE_FASTFORWARD,
@@ -220,99 +222,6 @@ def shard_plan(planned: list[PlannedInjection], seed: int,
             for index, start in enumerate(range(0, len(planned), chunk_size))]
 
 
-def shard_plan_guided(planned: list[PlannedInjection], seed: int,
-                      workers: int, min_chunk: int = 4) -> list[ChunkSpec]:
-    """Split a plan into *guided* decreasing-size chunks for work stealing.
-
-    Each chunk takes ``max(min_chunk, ceil(remaining / (workers * 2)))``
-    injections: early chunks are large (low dispatch overhead while every
-    worker is busy anyway), late chunks shrink toward ``min_chunk`` so the
-    tail stays balanced even when replay costs are skewed -- the classic
-    guided self-scheduling schedule.  Seeds follow the same
-    ``seed * stride + index`` scheme as :func:`shard_plan`, and because every
-    planned injection carries its pre-resolved lottery draw, the partition
-    never affects campaign statistics (the engine's bit-exactness contract).
-
-    ``min_chunk`` should be at least the batch width when batched lockstep
-    replay is on, so late chunks still fill a wavefront.
-    """
-    workers = max(1, workers)
-    min_chunk = max(1, min_chunk)
-    chunks: list[ChunkSpec] = []
-    start = 0
-    while start < len(planned):
-        remaining = len(planned) - start
-        size = max(min_chunk, -(-remaining // (workers * 2)))
-        index = len(chunks)
-        chunks.append(ChunkSpec(index=index,
-                                planned=planned[start:start + size],
-                                seed=seed * _SEED_STRIDE + index))
-        start += size
-    return chunks
-
-
-class _ConvergedEarly(Exception):
-    """Raised from the convergence hook to abort a provably-decided replay."""
-
-    def __init__(self, cycle: int):
-        super().__init__(f"re-converged with the golden run at cycle {cycle}")
-        self.cycle = cycle
-
-
-def _convergence_hook(inner: CycleHook, injection_cycle: int,
-                      checkpointed: CheckpointedGoldenRun,
-                      metrics: MetricsRegistry = NULL_METRICS,
-                      plan: SitePlan | None = None) -> CycleHook:
-    """Wrap the injection hook with the fingerprint convergence check.
-
-    At fingerprint-grid cycles strictly after the injection, the injected
-    core's digest is compared against the golden grid.  The fingerprint
-    covers exactly the state a snapshot round-trips -- latches,
-    microarchitecture, memory, emitted-output prefix, detection/recovery
-    log -- so a match means the remainder of the run is bit-identical to
-    the golden run by construction (a run that raised a detection,
-    scheduled a recovery, or diverged in output can never match) and
-    simulation can stop on the spot.
-
-    ``plan`` (a :class:`~repro.engine.schedule.SitePlan`) thins the probe
-    grid adaptively; grid points it skips can only delay the early-out,
-    never change the outcome.
-
-    ``metrics`` counts the grid probes and, when timing is enabled, the
-    per-probe latency (detailed instrumentation only; the default is the
-    shared disabled registry, so the unmetered hook pays one no-op call per
-    probe next to a state digest).
-    """
-    fingerprints = checkpointed.fingerprints
-    interval = checkpointed.fingerprint_interval
-    base_point = injection_cycle // interval
-
-    def hook(core: BaseCore, cycle: int) -> None:
-        inner(core, cycle)
-        if cycle <= injection_cycle or cycle % interval:
-            return
-        expected = fingerprints.get(cycle)
-        if expected is None:
-            return
-        if plan is not None \
-                and not plan.should_check(cycle // interval - base_point):
-            return
-        metrics.inc(COUNT_FINGERPRINT_CHECKS)
-        timed = metrics.timing
-        if timed:
-            start = time.perf_counter()
-        digest = core.state_fingerprint()
-        if timed:
-            elapsed = time.perf_counter() - start
-            metrics.add_time(PHASE_CONVERGENCE, elapsed)
-            metrics.observe_wall(HISTOGRAM_CHECK_LATENCY_US,
-                                 int(elapsed * 1e6))
-        if digest == expected:
-            raise _ConvergedEarly(cycle)
-
-    return hook
-
-
 @dataclass(frozen=True)
 class Replay:
     """Everything one injected replay produced.
@@ -378,8 +287,8 @@ def replay_planned_injection(core: BaseCore, program: Program,
             and golden.reason is not TerminationReason.HANG):
         probe_metrics = (obs.metrics if obs is not None and obs.detailed
                          else NULL_METRICS)
-        hook = _convergence_hook(hook, planned.injection.cycle, checkpointed,
-                                 metrics=probe_metrics, plan=plan)
+        hook = convergence_hook(hook, planned.injection.cycle, checkpointed,
+                                metrics=probe_metrics, plan=plan)
     snapshot = checkpointed.nearest(planned.injection.cycle)
     resumed_from = 0 if snapshot is None else snapshot.cycle
     tracing = obs is not None and obs.tracer.enabled
@@ -397,7 +306,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
         else:
             injected = core.resume(program, snapshot, max_cycles=watchdog,
                                    cycle_hook=hook)
-    except _ConvergedEarly as converged:
+    except ConvergedEarly as converged:
         injected = replace(golden, output=list(golden.output),
                            detections=list(golden.detections))
         return Replay(result=injected,
@@ -501,11 +410,6 @@ class CampaignExecutor(Protocol):
         any completion order."""
         ...  # pragma: no cover - protocol definition
 
-    def run_chunks(self, spec: CampaignSpec,
-                   chunks: list[ChunkSpec]) -> Iterator[ChunkResult]:
-        """Campaign binding: :meth:`stream` with :func:`execute_chunk`."""
-        ...  # pragma: no cover - protocol definition
-
 
 class SerialExecutor:
     """Executes shards in order on the calling process."""
@@ -513,10 +417,6 @@ class SerialExecutor:
     def stream(self, payload: Any, shards: list, fn: ShardFunction) -> Iterator:
         for shard in shards:
             yield fn(payload, shard)
-
-    def run_chunks(self, spec: CampaignSpec,
-                   chunks: list[ChunkSpec]) -> Iterator[ChunkResult]:
-        return self.stream(spec, chunks, execute_chunk)
 
 
 # ---------------------------------------------------------------------- workers
@@ -545,24 +445,17 @@ class ParallelExecutor:
             (shards are CPU-bound, so more processes than cores only add
             pickling overhead); an explicit count is honoured as given,
             which also lets tests exercise the pool on single-core machines.
-        work_stealing: with True (the default) shards are dispatched
-            pull-style -- the pool holds at most ``workers + 1`` in-flight
-            shards and each worker takes the next shard the moment it
-            finishes one, so a slow shard never strands pre-assigned work on
-            its worker.  False submits every shard up front (the static
-            schedule, kept for benchmarking the difference).  Either way
-            results stream back in completion order; consumers that need
-            determinism fold them by shard index.
+
+    Every shard is submitted up front; results stream back in completion
+    order, so consumers that need determinism fold them by shard index.
     """
 
-    def __init__(self, workers: int | None = None,
-                 work_stealing: bool = True):
+    def __init__(self, workers: int | None = None):
         import os
 
         if workers is None:
             workers = min(os.cpu_count() or 1, 8)
         self.workers = max(1, workers)
-        self.work_stealing = work_stealing
 
     def stream(self, payload: Any, shards: list, fn: ShardFunction) -> Iterator:
         if self.workers == 1 or len(shards) <= 1:
@@ -588,45 +481,16 @@ class ParallelExecutor:
                 done.add(result.index)
                 yield result
 
-    def run_chunks(self, spec: CampaignSpec,
-                   chunks: list[ChunkSpec]) -> Iterator[ChunkResult]:
-        return self.stream(spec, chunks, execute_chunk)
-
     def _stream_pooled(self, payload: Any, shards: list, fn: ShardFunction,
                        done: set[int]) -> Iterator:
-        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                        as_completed, wait)
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         with ProcessPoolExecutor(max_workers=min(self.workers, len(shards)),
                                  initializer=_init_worker,
                                  initargs=(payload, fn)) as pool:
-            if not self.work_stealing:
-                futures = [pool.submit(_run_shard_in_worker, shard)
-                           for shard in shards]
-                for future in as_completed(futures):
-                    result = future.result()
-                    done.add(result.index)
-                    yield result
-                return
-            # Pull-based dispatch: keep just enough shards in flight that no
-            # worker idles between completions (one spare beyond the worker
-            # count), and hand out the next queued shard per completion --
-            # workers effectively steal from one shared queue.
-            queue = iter(shards)
-            pending = set()
-            for shard in queue:
-                pending.add(pool.submit(_run_shard_in_worker, shard))
-                if len(pending) > self.workers:
-                    break
-            while pending:
-                completed, pending = wait(pending,
-                                          return_when=FIRST_COMPLETED)
-                for _ in completed:
-                    shard = next(queue, None)
-                    if shard is None:
-                        break
-                    pending.add(pool.submit(_run_shard_in_worker, shard))
-                for future in completed:
-                    result = future.result()
-                    done.add(result.index)
-                    yield result
+            futures = [pool.submit(_run_shard_in_worker, shard)
+                       for shard in shards]
+            for future in as_completed(futures):
+                result = future.result()
+                done.add(result.index)
+                yield result

@@ -23,7 +23,12 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 
-from repro.engine.checkpoint import GOLDEN_RUN_CACHE, CheckpointedGoldenRun
+from repro.engine.checkpoint import (
+    GOLDEN_RUN_CACHE,
+    CheckpointedGoldenRun,
+    ConvergedEarly,
+    convergence_hook,
+)
 from repro.faultinjection.outcomes import OutcomeCategory, OutcomeCounts, classify_outcome
 from repro.isa.program import Program
 from repro.isa.simulator import FunctionalSimulator
@@ -153,10 +158,6 @@ class HighLevelInjector:
                       ) -> tuple[RunResult, OutcomeCategory, int | None, int]:
         """One replay plus its convergence telemetry:
         ``(result, outcome, converged_at, simulated_cycles)``."""
-        # Deferred: executors imports this package's injector module, so a
-        # module-level import here would be circular.
-        from repro.engine.executors import _ConvergedEarly, _convergence_hook
-
         watchdog = max(int(golden.cycles * 2.0), golden.cycles + 64)
 
         def hook(core: BaseCore, cycle: int) -> None:
@@ -181,7 +182,7 @@ class HighLevelInjector:
                 and checkpointed.fingerprint_interval > 0
                 and checkpointed.fingerprints
                 and golden.reason is not TerminationReason.HANG):
-            run_hook = _convergence_hook(hook, injection.cycle, checkpointed)
+            run_hook = convergence_hook(hook, injection.cycle, checkpointed)
         snapshot = (checkpointed.nearest(injection.cycle)
                     if checkpointed is not None else None)
         resumed_from = snapshot.cycle if snapshot is not None else 0
@@ -193,7 +194,7 @@ class HighLevelInjector:
                 injected = self.core.resume(program, snapshot,
                                             max_cycles=watchdog,
                                             cycle_hook=run_hook)
-        except _ConvergedEarly as converged:
+        except ConvergedEarly as converged:
             synthesized = replace(golden, output=list(golden.output),
                                   detections=list(golden.detections))
             return (synthesized, classify_outcome(golden, synthesized),

@@ -4,8 +4,8 @@ Covers the store's robustness contract (truncated / corrupted / foreign /
 future-versioned / mis-keyed blobs and racing writers all degrade to a clean
 re-record -- never a crash, never stale state), the two-tier
 :class:`GoldenRunCache`, the warm-vs-cold bit-exactness property on both
-cores, and the executor-layer additions riding this PR: guided work-stealing
-sharding and the small-plan serial fallback.
+cores, and the executor layer's small-plan serial fallback and static
+shard dispatch.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.engine import (
     artifact_digest,
     cache_for_artifact_dir,
     golden_run_key,
-    shard_plan,
-    shard_plan_guided,
 )
 from repro.engine.artifacts import (
     ARTIFACT_FORMAT,
@@ -259,40 +257,7 @@ class TestTwoTierCache:
 
 
 # ------------------------------------------------------ executor-layer pieces
-class TestGuidedSharding:
-    def _plan(self, engine, program, count):
-        from repro.faultinjection import uniform_injection_plan
-
-        core = InOrderCore()
-        plan = uniform_injection_plan(core.flip_flop_count, 500, count, seed=3)
-        return engine.resolve_plan(plan)
-
-    def test_partition_preserves_plan_order(self, program):
-        engine = InjectionEngine(InOrderCore(), program, seed=3)
-        planned = self._plan(engine, program, 97)
-        chunks = shard_plan_guided(planned, seed=3, workers=3, min_chunk=4)
-        flattened = [p for chunk in chunks for p in chunk.planned]
-        assert flattened == planned
-        assert [chunk.index for chunk in chunks] == list(range(len(chunks)))
-
-    def test_sizes_decrease_toward_min_chunk(self, program):
-        engine = InjectionEngine(InOrderCore(), program, seed=3)
-        planned = self._plan(engine, program, 120)
-        chunks = shard_plan_guided(planned, seed=3, workers=2, min_chunk=4)
-        sizes = [len(chunk.planned) for chunk in chunks]
-        assert sizes == sorted(sizes, reverse=True)
-        assert all(size >= 4 for size in sizes[:-1])
-        assert sizes[0] == 30  # ceil(120 / (2 * 2))
-
-    def test_seeds_match_static_scheme(self, program):
-        engine = InjectionEngine(InOrderCore(), program, seed=5)
-        planned = self._plan(engine, program, 40)
-        guided = shard_plan_guided(planned, seed=5, workers=2)
-        static = shard_plan(planned, seed=5, chunk_size=10)
-        assert guided[0].seed == static[0].seed
-
-
-class TestSerialFallbackAndStealing:
+class TestSerialFallback:
     def test_small_plan_falls_back_to_serial(self, program):
         engine = InjectionEngine(InOrderCore(), program, seed=1,
                                  config=EngineConfig(workers=2))
@@ -312,21 +277,24 @@ class TestSerialFallbackAndStealing:
                                  executor=executor)
         assert engine._select_executor(2) is executor
 
-    def test_work_stealing_stream_matches_serial(self):
-        """The pull-based dispatcher yields every shard result exactly once
+    def test_parallel_chunk_fills_a_wavefront(self, program):
+        """Derived chunk sizes never drop below the lockstep batch width."""
+        engine = InjectionEngine(InOrderCore(), program, seed=1,
+                                 config=EngineConfig(workers=2,
+                                                     batch_width=16))
+        assert engine._chunk_size(40, ParallelExecutor(workers=2)) >= 16
+
+    def test_parallel_stream_yields_every_shard_once(self):
+        """The pool yields every shard result exactly once
         (order-insensitively), including with more shards than workers."""
         from repro.engine import ChunkSpec
 
         payload = {"scale": 10}
         shards = [ChunkSpec(index=i, planned=[], seed=i) for i in range(9)]
-        stealing = ParallelExecutor(workers=2, work_stealing=True)
-        static = ParallelExecutor(workers=2, work_stealing=False)
-        expected = {shard.index for shard in shards}
-        got_stealing = {r.index for r in
-                        stealing.stream(payload, shards, _echo_shard)}
-        got_static = {r.index for r in
-                      static.stream(payload, shards, _echo_shard)}
-        assert got_stealing == got_static == expected
+        executor = ParallelExecutor(workers=2)
+        got = sorted(r.index for r in
+                     executor.stream(payload, shards, _echo_shard))
+        assert got == [shard.index for shard in shards]
 
 
 def _echo_shard(payload, shard):
@@ -378,8 +346,6 @@ class TestWarmColdEquivalence:
                          parallel_threshold=0),
             EngineConfig(artifact_dir=tmp_path, workers=2,
                          parallel_threshold=0, batch_width=8),
-            EngineConfig(artifact_dir=tmp_path, workers=2,
-                         parallel_threshold=0, work_stealing=False),
         ]
         for config in variants:
             result = InjectionEngine(core, program, seed=9, config=config,

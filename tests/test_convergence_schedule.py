@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, GoldenRunCache, InjectionEngine
-from repro.engine.executors import _ConvergedEarly, _convergence_hook
+from repro.engine.checkpoint import ConvergedEarly, convergence_hook
 from repro.engine.schedule import (
     MAX_DENSE_WINDOW,
     MIN_DENSE_WINDOW,
@@ -99,11 +99,11 @@ class TestConvergenceHook:
 
     def test_matching_digest_converges(self, program):
         core = self._core(program)
-        hook = _convergence_hook(
+        hook = convergence_hook(
             lambda c, cycle: None, 0,
             SimpleNamespace(fingerprints={8: core.state_fingerprint()},
                             fingerprint_interval=8))
-        with pytest.raises(_ConvergedEarly) as exc:
+        with pytest.raises(ConvergedEarly) as exc:
             hook(core, 8)
         assert exc.value.cycle == 8
 
@@ -112,12 +112,12 @@ class TestConvergenceHook:
         plan = SitePlan(dense_window=0, max_gap=32)
         assert plan.should_check(1)   # backoff probes powers of two
         assert not plan.should_check(3)
-        hook = _convergence_hook(
+        hook = convergence_hook(
             lambda c, cycle: None, 0,
             SimpleNamespace(fingerprints={24: core.state_fingerprint()},
                             fingerprint_interval=8),
             plan=plan)
-        hook(core, 24)  # grid point 3: skipped, so no _ConvergedEarly
+        hook(core, 24)  # grid point 3: skipped, so no ConvergedEarly
 
 
 class TestEngineBitExactness:

@@ -31,6 +31,7 @@ from repro.engine import (
     SerialExecutor,
     record_checkpointed_golden,
     replay_planned_injection,
+    run_suite_campaign,
 )
 from repro.faultinjection import (
     FlipFlopInjector,
@@ -604,8 +605,6 @@ class TestGoldenRunCache:
             GoldenRunCache(max_entries=0)
 
     def test_suite_runner_sizes_private_cache(self, program):
-        from repro.faultinjection.campaign import run_suite_campaign
-
         workloads = [workload_by_name("histogram"), workload_by_name("vpr")]
         with pytest.raises(ValueError):
             run_suite_campaign(InOrderCore(), workloads,
@@ -711,3 +710,35 @@ class TestBatchedReplay:
             config=EngineConfig(batch_width=1),
             golden_cache=GoldenRunCache()).run(injections=6)
         assert result.evicted_count == 0 and result.lockstep_cycles == 0
+
+
+FIRST_IMPORT_MODULES = (
+    "repro",
+    "repro.core",
+    "repro.engine",
+    "repro.engine.engine",
+    "repro.engine.executors",
+    "repro.engine.batch",
+    "repro.engine.checkpoint",
+    "repro.faultinjection",
+    "repro.faultinjection.levels",
+    "repro.faultinjection.campaign",
+)
+
+
+@pytest.mark.parametrize("module", FIRST_IMPORT_MODULES)
+def test_module_imports_first_in_fresh_interpreter(module):
+    """The engine and fault-injection packages import each other at module
+    level; any import order must resolve without a circular-import error."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if module == "repro.engine.batch":
+        pytest.importorskip("numpy")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", f"import {module}"],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
