@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import time
 from pathlib import Path
 
 from repro.obs import git_revision, manifest_dict
@@ -21,8 +22,20 @@ def run_once(benchmark, func):
 
     The harness regenerates tables (one simulation/exploration pass each), so
     repeated rounds would only slow it down without adding information.
+    Host load, wall time and CPU time around the payload go into
+    ``benchmark.extra_info``, where :func:`persist_bench` picks them up.
     """
-    return benchmark.pedantic(func, iterations=1, rounds=1)
+    load_before = os.getloadavg()
+    wall, times = time.perf_counter(), os.times()
+    result = benchmark.pedantic(func, iterations=1, rounds=1)
+    end = os.times()
+    benchmark.extra_info.update(
+        wall_s=time.perf_counter() - wall,
+        cpu_s=(end.user - times.user) + (end.system - times.system),
+        children_cpu_s=((end.children_user - times.children_user)
+                        + (end.children_system - times.children_system)),
+        loadavg_before=list(load_before))
+    return result
 
 
 def bench_output_dir() -> Path:
@@ -38,14 +51,19 @@ def bench_output_dir() -> Path:
 
 def persist_bench(name: str, headers: list[str], rows: list[list],
                   context: dict | None = None, seed: int | None = None,
-                  core=None, config=None) -> Path:
+                  core=None, config=None, benchmark=None) -> Path:
     """Write one benchmark's result table to ``BENCH_<name>.json``.
 
     The payload is machine-readable (headers + rows + host context) so later
     PRs can diff throughput numbers without re-parsing printed tables.  The
     document carries ``schema`` (see :data:`BENCH_SCHEMA`), the git revision
     of the working tree in ``context``, and a full provenance manifest
-    (:func:`repro.obs.manifest_dict`).  ``seed``, ``core`` and ``config``
+    (:func:`repro.obs.manifest_dict`).  ``context`` also gets the 1/5/15-min
+    load average, and with ``benchmark`` (the fixture handed to
+    :func:`run_once`) the load before the payload and its wall time next to
+    its CPU time (this process, and its worker children): a single-process
+    row whose CPU time falls well short of its wall time ran on a busy
+    host.  ``seed``, ``core`` and ``config``
     thread the benchmark's campaign seed, core (class or instance) and
     :class:`~repro.engine.EngineConfig` into the manifest -- without them the
     manifest records ``null`` provenance, which defeats drift detection.
@@ -62,6 +80,8 @@ def persist_bench(name: str, headers: list[str], rows: list[list],
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
             "git": git_revision(),
+            "loadavg": list(os.getloadavg()),
+            **(benchmark.extra_info if benchmark is not None else {}),
             **(context or {}),
         },
         "manifest": manifest_dict(seed=seed, core=core, config=config,

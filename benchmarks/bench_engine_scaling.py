@@ -1,7 +1,7 @@
 """Injection-engine scaling: re-simulation vs checkpoints vs convergence vs batching.
 
 Measures campaign throughput (injections/second) for the same fixed-seed
-campaign on a >=5k-cycle workload under two groups of execution strategies.
+campaign on a >=5k-cycle workload under groups of execution strategies.
 
 The first group runs the standard campaign size and shows the scalar-path
 trajectory:
@@ -18,7 +18,12 @@ trajectory:
 * ``parallel, converged`` -- the convergence-gated plan sharded over worker
   processes.
 
-The second group adds batched lockstep replay (``EngineConfig.batch_width``)
+The second group prices each core: the simulator cost per cycle of an
+unhooked golden run on both cores (best of three), and the
+``serial, converged`` campaign on the OoO-core (the first group is
+InO-only).  It has no speedup column.
+
+The third group adds batched lockstep replay (``EngineConfig.batch_width``)
 on top of the convergence-gated configuration.  Batched rows run a larger
 campaign: at small N the wall time is dominated by the handful of
 never-reconverging runs each wavefront hard-evicts to the scalar path, so
@@ -27,8 +32,8 @@ Serial throughput is N-independent (each injection replays in isolation),
 but the serial-converged reference is re-measured at the batched size anyway
 so the comparison is same-N by construction.
 
-Within each group the ``speedup`` column is relative to the group's first
-row (the group's serial baseline).  All strategies must report bit-identical
+Within the other groups the ``speedup`` column is relative to the group's
+first row (the group's serial baseline).  All strategies must report bit-identical
 outcome statistics (asserted below, including per-site tallies for the
 batched rows); convergence gating must cut the checkpointed baseline's
 simulated cycles by >=30% and batched replay at width >=16 must beat the
@@ -45,12 +50,12 @@ import time
 from _harness import persist_bench, run_once
 
 from repro.engine import EngineConfig, GoldenRunCache, InjectionEngine
-from repro.microarch import InOrderCore
+from repro.microarch import InOrderCore, OutOfOrderCore
 from repro.obs.phases import (COUNT_FINGERPRINT_CHECKS, PHASE_CONVERGENCE)
 from repro.reporting import format_table
 from repro.workloads import workload_by_name
 
-WORKLOAD = "mcf"          # 7.4k golden cycles on the InO-core
+WORKLOAD = "mcf"          # 7.4k golden cycles on the InO-core, 2.5k on OoO
 INJECTIONS = 30
 BATCH_INJECTIONS = 120
 BATCH_WIDTHS = (8, 16, 32)
@@ -76,8 +81,8 @@ def bench_engine_scaling(benchmark):
     def payload():
         program = workload_by_name(WORKLOAD).program()
 
-        def run_campaign(config, injections):
-            engine = InjectionEngine(InOrderCore(), program, seed=9,
+        def run_campaign(config, injections, core_class=InOrderCore):
+            engine = InjectionEngine(core_class(), program, seed=9,
                                      config=config,
                                      golden_cache=GoldenRunCache())
             checkpointed = engine.golden()  # warm the cache
@@ -126,6 +131,27 @@ def bench_engine_scaling(benchmark):
                          f"{100 * result.saved_cycle_fraction:.0f}%",
                          "0%", f"{elapsed:.2f}s", f"{rate:.1f}",
                          f"{rate / baseline_rate:.2f}x"])
+
+        # ------------------------------------------------------ per core
+        for core_class in (InOrderCore, OutOfOrderCore):
+            core = core_class()
+            timings = []
+            for _ in range(3):
+                start = time.perf_counter()
+                golden = core.run(program)
+                timings.append(time.perf_counter() - start)
+            elapsed = min(timings)
+            rows.append([f"golden run, {core.name} (unhooked)", "-", "-", "-",
+                         golden.cycles, "-",
+                         f"{1e6 * elapsed / golden.cycles:.1f} us/cycle",
+                         f"{elapsed:.2f}s", "-", "-"])
+        checkpointed, result, elapsed = run_campaign(
+            EngineConfig(), INJECTIONS, OutOfOrderCore)
+        rows.append(["serial, converged (OoO-core)", "-",
+                     checkpointed.checkpoint_count,
+                     checkpointed.fingerprint_count, result.replayed_cycles,
+                     f"{100 * result.saved_cycle_fraction:.0f}%", "0%",
+                     f"{elapsed:.2f}s", f"{INJECTIONS / elapsed:.1f}", "-"])
 
         # ------------------------------------------------- batched strategies
         checkpointed, scalar_ref, elapsed = run_campaign(
@@ -230,9 +256,9 @@ def bench_engine_scaling(benchmark):
                            "min_adaptive_speedup": MIN_ADAPTIVE_SPEEDUP,
                            "min_fp_time_reduction": MIN_FP_TIME_REDUCTION},
                   seed=9, core=InOrderCore(),
-                  config=EngineConfig())
+                  config=EngineConfig(), benchmark=benchmark)
     print()
     print(format_table(
-        f"Engine scaling on {WORKLOAD} (InO-core); speedup is vs each "
-        f"group's serial baseline row",
+        f"Engine scaling on {WORKLOAD} (InO-core unless named); speedup is "
+        f"vs each group's serial baseline row",
         headers, rows))

@@ -126,7 +126,7 @@ def bench_exploration_full_sweep(benchmark):
     persist_bench("exploration", headers, rows,
                   context={"combinations": 586, "targets": len(sdc_targets()),
                            "parallel_workers": PARALLEL_WORKERS},
-                  seed=2016, core="InO+OoO")
+                  seed=2016, core="InO+OoO", benchmark=benchmark)
     print()
     print(format_table(
         f"Exploration scaling: 586 combinations x {len(sdc_targets())} targets "

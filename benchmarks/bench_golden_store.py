@@ -162,7 +162,8 @@ def bench_golden_store(benchmark):
                            "batch_width": BATCH_WIDTH,
                            "workers": WORKERS,
                            "min_warm_speedup": MIN_WARM_SPEEDUP},
-                  seed=9, core=InOrderCore(), config=EngineConfig())
+                  seed=9, core=InOrderCore(), config=EngineConfig(),
+                  benchmark=benchmark)
     print()
     print(format_table(
         f"Golden-artifact store on {WORKLOAD} (InO-core); wall time "

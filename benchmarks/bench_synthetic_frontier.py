@@ -67,7 +67,7 @@ def bench_synthetic_frontier(benchmark):
                            "target_cycles": TARGET_CYCLES,
                            "combination_step": COMBINATION_STEP,
                            "targets": TARGET_COUNT},
-                  seed=SEED, core=InOrderCore())
+                  seed=SEED, core=InOrderCore(), benchmark=benchmark)
     print()
     print(format_table("Synthetic-workload-driven frontier pipeline",
                        headers, rows))

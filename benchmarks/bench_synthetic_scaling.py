@@ -59,7 +59,8 @@ def bench_synthetic_scaling(benchmark):
                   context={"seed": SEED, "per_family": PER_FAMILY,
                            "injections_per_workload": INJECTIONS_PER_WORKLOAD,
                            "families": family_names()},
-                  seed=SEED, core=InOrderCore(), config=EngineConfig())
+                  seed=SEED, core=InOrderCore(), config=EngineConfig(),
+                  benchmark=benchmark)
     print()
     print(format_table(
         f"Synthetic scaling: {len(family_names())} families x "

@@ -625,7 +625,7 @@ class _StreamingWavefront:
                 or len(core._output) != (len(self._output_prefix)
                                          + len(self._emitted))):
             return False
-        data = core.latches._data
+        data = core.latches.values
         ctrl = self._ctrl
         for position, name in self._ctrl_positions:
             if data[position] != ctrl[name]:
@@ -655,7 +655,7 @@ class _StreamingWavefront:
         record = tandem.record
         core = tandem.core
         slot = self._free_slots.pop()
-        data = core.latches._data
+        data = core.latches.values
         row = self._latches.array[slot]
         for position in self._lane_positions:
             row[position] = data[position]

@@ -151,6 +151,9 @@ OPCODE_INFO: dict[Opcode, OpcodeInfo] = {
 
 MNEMONIC_TO_OPCODE = {info.mnemonic: op for op, info in OPCODE_INFO.items()}
 
+OPCODE_BY_VALUE: dict[int, Opcode] = {int(op): op for op in Opcode}
+"""Decode table for a latch-held opcode field; ``.get`` is None for unused values."""
+
 LUI_SHIFT = 14
 """Left shift applied to the LUI immediate.
 

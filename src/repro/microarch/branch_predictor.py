@@ -16,45 +16,40 @@ class BimodalPredictor:
     """2-bit saturating-counter bimodal predictor backed by latch state.
 
     The counter table and the global history register are registered as
-    flip-flop structures by the owning core; this class only manipulates
-    them through :class:`LatchState` so injected flips are honoured.
+    flip-flop structures by the owning core, which hands over their
+    positions in :attr:`LatchState.values`; this class only reads and writes
+    them there, so injected flips are honoured.
     """
 
-    def __init__(self, latches: LatchState, table_structure: str,
-                 history_structure: str, entries: int):
-        self._latches = latches
-        self._table_structure = table_structure
-        self._history_structure = history_structure
+    def __init__(self, latches: LatchState, table: int, history: int,
+                 entries: int):
+        self._values = latches.values
+        self._table = table
+        self._table_mask = latches.masks[table]
+        self._history = history
+        self._history_mask = latches.masks[history]
         self._entries = entries
 
-    def _counter(self, index: int) -> int:
-        table = self._latches.get(self._table_structure)
-        return (table >> (2 * index)) & 0x3
-
-    def _set_counter(self, index: int, value: int) -> None:
-        table = self._latches.get(self._table_structure)
-        table &= ~(0x3 << (2 * index))
-        table |= (value & 0x3) << (2 * index)
-        self._latches.set(self._table_structure, table)
-
     def _index(self, pc: int) -> int:
-        history = self._latches.get(self._history_structure)
-        return ((pc >> 2) ^ history) % self._entries
+        return ((pc >> 2) ^ self._values[self._history]) % self._entries
 
     def predict_taken(self, pc: int) -> bool:
         """Predict whether the branch at ``pc`` is taken."""
-        return self._counter(self._index(pc)) >= 2
+        table = self._values[self._table]
+        return ((table >> (2 * self._index(pc))) & 0x3) >= 2
 
     def update(self, pc: int, taken: bool) -> None:
         """Train the predictor with the resolved outcome of the branch at ``pc``."""
-        index = self._index(pc)
-        counter = self._counter(index)
+        values = self._values
+        shift = 2 * self._index(pc)
+        table = values[self._table]
+        counter = (table >> shift) & 0x3
         if taken:
             counter = min(3, counter + 1)
         else:
             counter = max(0, counter - 1)
-        self._set_counter(index, counter)
-        history = self._latches.get(self._history_structure)
-        width = self._latches.registry.structure(self._history_structure).width
-        history = ((history << 1) | (1 if taken else 0)) & ((1 << width) - 1)
-        self._latches.set(self._history_structure, history)
+        table = (table & ~(0x3 << shift)) | (counter << shift)
+        values[self._table] = table & self._table_mask
+        history = values[self._history]
+        values[self._history] = (((history << 1) | (1 if taken else 0))
+                                 & self._history_mask)

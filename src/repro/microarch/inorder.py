@@ -26,7 +26,7 @@ as in the paper, and are therefore not injection targets.
 from __future__ import annotations
 
 from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
-from repro.isa.instructions import Opcode, OPCODE_INFO
+from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.branch_predictor import BimodalPredictor
@@ -34,6 +34,7 @@ from repro.microarch.core import BaseCore, CoreClass
 from repro.microarch.events import TerminationReason, TrapKind
 from repro.microarch.execute import ExecuteTrap, execute_operation
 from repro.microarch.memory import MemoryFault, MemorySystem
+from repro.microarch.state import to_signed
 
 # Trap kinds are carried down the pipeline in a 3-bit field.
 _TRAP_CODES = {
@@ -59,9 +60,17 @@ class InOrderCore(BaseCore):
         self._finalize_state()
         self.memory = MemorySystem()
         self.registers: list[int] = [0] * NUM_REGISTERS
+        # Every latch position, resolved once: the stages index
+        # ``self.latches.values`` with these (``"w.s.icc"`` -> ``.w_s_icc``).
+        self._at = at = self.latches.handles(
+            s.name for s in self.registry.structures)
+        # (valid, trap, op, rd) of the stages older than regaccess.
+        self._hazard_stages = ((at.m_valid, at.m_trap, at.m_op, at.m_rd),
+                               (at.x_valid, at.x_trap, at.x_op, at.x_rd),
+                               (at.w_valid, at.w_trap, at.w_op, at.w_rd))
         # audit: allow[state-coverage] the predictor is a stateless view; its tables/history live in self.latches, which the contract covers
         self._predictor = BimodalPredictor(
-            self.latches, "f.bp.table", "f.bp.history", entries=32)
+            self.latches, at.f_bp_table, at.f_bp_history, entries=32)
 
     # ------------------------------------------------------------------ state declaration
     def _declare_state(self) -> None:
@@ -184,10 +193,10 @@ class InOrderCore(BaseCore):
         from repro.isa.program import DEFAULT_STACK_TOP
 
         self.registers[2] = DEFAULT_STACK_TOP - WORD_BYTES
-        latches = self.latches
-        latches.set("f.pc", program.entry_point)
-        latches.set("f.npc", program.entry_point + WORD_BYTES)
-        latches.set("f.valid", 1)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        v[at.f_pc] = program.entry_point & m[at.f_pc]
+        v[at.f_npc] = (program.entry_point + WORD_BYTES) & m[at.f_npc]
+        v[at.f_valid] = 1
 
     # ------------------------------------------------------------------ checkpointing
     def _snapshot_microarchitecture(self) -> dict:
@@ -209,12 +218,6 @@ class InOrderCore(BaseCore):
                 self._redirect_target)
 
     # ------------------------------------------------------------------ helpers
-    def _bubble(self, prefix: str) -> None:
-        """Insert a bubble into the latch group with the given stage prefix."""
-        for structure in self.registry.structures:
-            if structure.name.startswith(prefix):
-                self.latches.set(structure.name, 0)
-
     def _read_register(self, index: int) -> int:
         return self.registers[index & 0x1F]
 
@@ -230,18 +233,12 @@ class InOrderCore(BaseCore):
         instructions live in the memory, exception and writeback latches.
         """
         destinations: set[int] = set()
-        latches = self.latches
-        for prefix in ("m", "x", "w"):
-            if latches.get(f"{prefix}.valid") and not latches.get(f"{prefix}.trap"):
-                op_value = latches.get(f"{prefix}.op")
-                try:
-                    info = OPCODE_INFO[Opcode(op_value)]
-                except ValueError:
-                    continue
-                if info.writes_rd:
-                    rd = latches.get(f"{prefix}.rd")
-                    if rd != 0:
-                        destinations.add(rd)
+        v = self.latches.values
+        for valid, trap, op, rd in self._hazard_stages:
+            if v[valid] and not v[trap]:
+                info = OPCODE_INFO.get(OPCODE_BY_VALUE.get(v[op]))
+                if info is not None and info.writes_rd and v[rd] != 0:
+                    destinations.add(v[rd])
         return destinations
 
     # ------------------------------------------------------------------ pipeline stages
@@ -259,268 +256,235 @@ class InOrderCore(BaseCore):
 
     # WB: commit results, outputs, halts and traps.
     def _commit_writeback(self) -> None:
-        latches = self.latches
-        if not latches.get("w.valid"):
+        v, at = self.latches.values, self._at
+        if not v[at.w_valid]:
             return
-        if latches.get("w.trap"):
-            kind = _TRAP_FROM_CODE.get(latches.get("w.trapkind"),
+        if v[at.w_trap]:
+            kind = _TRAP_FROM_CODE.get(v[at.w_trapkind],
                                        TrapKind.ILLEGAL_INSTRUCTION)
             reason = (TerminationReason.DETECTED
                       if kind is TrapKind.SOFTWARE_ASSERTION
                       else TerminationReason.TRAP)
             self.force_termination(reason, kind)
-            latches.set("w.valid", 0)
+            v[at.w_valid] = 0
             return
-        op_value = latches.get("w.op")
-        if latches.get("w.wen"):
-            self._write_register(latches.get("w.rd"), latches.get("w.result"))
-        if latches.get("w.outpending"):
-            self.emit_output(latches.get("w.outval"))
+        if v[at.w_wen]:
+            self._write_register(v[at.w_rd], v[at.w_result])
+        if v[at.w_outpending]:
+            self.emit_output(v[at.w_outval])
         self.note_retired()
-        try:
-            opcode = Opcode(op_value)
-        except ValueError:
-            opcode = None
-        if opcode is Opcode.HALT:
+        if v[at.w_op] == Opcode.HALT:
             self.force_termination(TerminationReason.HALTED)
-        latches.set("w.valid", 0)
-        latches.set("w.wen", 0)
-        latches.set("w.outpending", 0)
+        v[at.w_valid] = 0
+        v[at.w_wen] = 0
+        v[at.w_outpending] = 0
 
     # XC -> WB
     def _stage_exception_to_writeback(self) -> None:
-        latches = self.latches
-        if not latches.get("x.valid"):
-            latches.set("w.valid", 0)
-            latches.set("w.wen", 0)
-            latches.set("w.outpending", 0)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        if not v[at.x_valid]:
+            v[at.w_valid] = 0
+            v[at.w_wen] = 0
+            v[at.w_outpending] = 0
             return
-        latches.set("w.op", latches.get("x.op"))
-        latches.set("w.rd", latches.get("x.rd"))
-        latches.set("w.result", latches.get("x.result"))
-        latches.set("w.trap", latches.get("x.trap"))
-        latches.set("w.trapkind", latches.get("x.trapkind"))
-        latches.set("w.outval", latches.get("x.outval"))
-        latches.set("w.outpending", latches.get("x.outpending"))
-        latches.set("w.valid", 1)
-        wen = 0
-        if not latches.get("x.trap"):
-            try:
-                info = OPCODE_INFO[Opcode(latches.get("x.op"))]
-                wen = 1 if (info.writes_rd and latches.get("x.rd") != 0) else 0
-            except ValueError:
-                wen = 0
-        latches.set("w.wen", wen)
+        v[at.w_op] = v[at.x_op] & m[at.w_op]
+        v[at.w_rd] = v[at.x_rd] & m[at.w_rd]
+        v[at.w_result] = v[at.x_result] & m[at.w_result]
+        v[at.w_trap] = v[at.x_trap] & m[at.w_trap]
+        v[at.w_trapkind] = v[at.x_trapkind] & m[at.w_trapkind]
+        v[at.w_outval] = v[at.x_outval] & m[at.w_outval]
+        v[at.w_outpending] = v[at.x_outpending] & m[at.w_outpending]
+        v[at.w_valid] = 1
+        info = (None if v[at.x_trap]
+                else OPCODE_INFO.get(OPCODE_BY_VALUE.get(v[at.x_op])))
+        v[at.w_wen] = (1 if info is not None and info.writes_rd and v[at.x_rd] != 0
+                       else 0)
         # Status-register bookkeeping (hint-only state).
-        latches.set("w.s.icc", latches.get("x.icc"))
-        latches.set("x.valid", 0)
+        v[at.w_s_icc] = v[at.x_icc] & m[at.w_s_icc]
+        v[at.x_valid] = 0
 
     # ME -> XC: data memory access.
     def _stage_memory_to_exception(self) -> None:
-        latches = self.latches
-        if not latches.get("m.valid"):
-            latches.set("x.valid", 0)
-            latches.set("x.outpending", 0)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        if not v[at.m_valid]:
+            v[at.x_valid] = 0
+            v[at.x_outpending] = 0
             return
-        latches.set("x.op", latches.get("m.op"))
-        latches.set("x.rd", latches.get("m.rd"))
-        latches.set("x.trap", latches.get("m.trap"))
-        latches.set("x.trapkind", latches.get("m.trapkind"))
-        latches.set("x.valid", 1)
-        latches.set("x.outpending", 0)
-        result = latches.get("m.result")
-        if not latches.get("m.trap"):
-            try:
-                opcode = Opcode(latches.get("m.op"))
-            except ValueError:
-                opcode = None
-            address = latches.get("m.addr")
+        v[at.x_op] = v[at.m_op] & m[at.x_op]
+        v[at.x_rd] = v[at.m_rd] & m[at.x_rd]
+        v[at.x_trap] = v[at.m_trap] & m[at.x_trap]
+        v[at.x_trapkind] = v[at.m_trapkind] & m[at.x_trapkind]
+        v[at.x_valid] = 1
+        v[at.x_outpending] = 0
+        result = v[at.m_result]
+        if not v[at.m_trap]:
+            opcode = OPCODE_BY_VALUE.get(v[at.m_op])
+            address = v[at.m_addr]
             try:
                 if opcode is Opcode.LW:
                     result = self.memory.load_word(address)
                 elif opcode is Opcode.LB:
                     result = self.memory.load_byte(address)
                 elif opcode is Opcode.SW:
-                    self.memory.store_word(address, latches.get("m.storeval"))
+                    self.memory.store_word(address, v[at.m_storeval])
                 elif opcode is Opcode.SB:
-                    self.memory.store_byte(address, latches.get("m.storeval"))
+                    self.memory.store_byte(address, v[at.m_storeval])
                 elif opcode is Opcode.OUT:
-                    latches.set("x.outval", latches.get("m.storeval"))
-                    latches.set("x.outpending", 1)
+                    v[at.x_outval] = v[at.m_storeval] & m[at.x_outval]
+                    v[at.x_outpending] = 1
             except MemoryFault:
-                latches.set("x.trap", 1)
-                latches.set("x.trapkind", _TRAP_CODES[TrapKind.MEMORY_FAULT])
+                v[at.x_trap] = 1
+                v[at.x_trapkind] = (_TRAP_CODES[TrapKind.MEMORY_FAULT]
+                                    & m[at.x_trapkind])
             # Track data-cache controller hint state.
-            latches.set("dc.ctrl.state", (latches.get("dc.ctrl.state") + 1) & 0xF)
-        latches.set("x.result", result)
-        latches.set("m.valid", 0)
+            v[at.dc_ctrl_state] = (v[at.dc_ctrl_state] + 1) & m[at.dc_ctrl_state]
+        v[at.x_result] = result & m[at.x_result]
+        v[at.m_valid] = 0
 
     # EX -> ME: ALU, branch resolution.
     def _stage_execute_to_memory(self) -> bool:
-        latches = self.latches
-        if not latches.get("e.valid"):
-            latches.set("m.valid", 0)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        if not v[at.e_valid]:
+            v[at.m_valid] = 0
             return False
-        latches.set("m.op", latches.get("e.op"))
-        latches.set("m.rd", latches.get("e.rd"))
-        latches.set("m.trap", latches.get("e.trap"))
-        latches.set("m.trapkind", latches.get("e.trapkind"))
-        latches.set("m.valid", 1)
-        latches.set("m.branch_taken", 0)
+        v[at.m_op] = v[at.e_op] & m[at.m_op]
+        v[at.m_rd] = v[at.e_rd] & m[at.m_rd]
+        v[at.m_trap] = v[at.e_trap] & m[at.m_trap]
+        v[at.m_trapkind] = v[at.e_trapkind] & m[at.m_trapkind]
+        v[at.m_valid] = 1
+        v[at.m_branch_taken] = 0
         redirect = False
-        if not latches.get("e.trap"):
-            pc = latches.get("e.pc")
-            imm = latches.get_signed("e.imm")
-            rs1_value = latches.get("e.rs1val")
-            rs2_value = latches.get("e.rs2val")
-            try:
-                opcode = Opcode(latches.get("e.op"))
-            except ValueError:
-                opcode = None
+        if not v[at.e_trap]:
+            pc = v[at.e_pc]
+            imm = to_signed(v[at.e_imm], m[at.e_imm])
+            opcode = OPCODE_BY_VALUE.get(v[at.e_op])
             if opcode is None:
-                latches.set("m.trap", 1)
-                latches.set("m.trapkind", _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
+                v[at.m_trap] = 1
+                v[at.m_trapkind] = (_TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION]
+                                    & m[at.m_trapkind])
             else:
                 try:
-                    result = execute_operation(opcode, rs1_value, rs2_value, imm, pc)
+                    result = execute_operation(opcode, v[at.e_rs1val],
+                                               v[at.e_rs2val], imm, pc)
                 except ExecuteTrap as trap:
-                    latches.set("m.trap", 1)
-                    latches.set("m.trapkind", _TRAP_CODES[trap.kind])
+                    v[at.m_trap] = 1
+                    v[at.m_trapkind] = _TRAP_CODES[trap.kind] & m[at.m_trapkind]
                 else:
-                    latches.set("m.result", result.value)
+                    v[at.m_result] = result.value & m[at.m_result]
                     if result.memory_address is not None:
-                        latches.set("m.addr", result.memory_address)
+                        v[at.m_addr] = result.memory_address & m[at.m_addr]
                     if result.store_value is not None:
-                        latches.set("m.storeval", result.store_value)
+                        v[at.m_storeval] = result.store_value & m[at.m_storeval]
                     if result.output_value is not None:
                         # Reuse the store-value path to carry the OUT payload.
-                        latches.set("m.storeval", result.output_value)
-                    if opcode.name in ("BEQ", "BNE", "BLT", "BGE", "BLTU", "BGEU"):
+                        v[at.m_storeval] = result.output_value & m[at.m_storeval]
+                    if OPCODE_INFO[opcode].is_branch:
                         self._predictor.update(pc, result.branch_taken)
                     if result.branch_taken:
                         redirect = True
-                        latches.set("m.branch_taken", 1)
+                        v[at.m_branch_taken] = 1
                         self._redirect_target = result.branch_target
-        latches.set("e.valid", 0)
+        v[at.e_valid] = 0
         return redirect
 
     # RA -> EX: register read with scoreboard stall.
     def _stage_regaccess_to_execute(self, redirect: bool) -> bool:
-        latches = self.latches
-        if redirect or not latches.get("a.valid"):
-            latches.set("e.valid", 0)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        if redirect or not v[at.a_valid]:
+            v[at.e_valid] = 0
             if redirect:
-                latches.set("a.valid", 0)
+                v[at.a_valid] = 0
             return False
-        try:
-            opcode = Opcode(latches.get("a.op"))
-            info = OPCODE_INFO[opcode]
-        except ValueError:
-            opcode = None
-            info = None
-        if info is not None and not latches.get("a.trap"):
+        info = OPCODE_INFO.get(OPCODE_BY_VALUE.get(v[at.a_op]))
+        if info is not None and not v[at.a_trap]:
             hazards = self._hazard_destinations()
-            sources = []
-            if info.reads_rs1:
-                sources.append(latches.get("a.rs1"))
-            if info.reads_rs2:
-                sources.append(latches.get("a.rs2"))
-            if any(source in hazards for source in sources):
+            if ((info.reads_rs1 and v[at.a_rs1] in hazards)
+                    or (info.reads_rs2 and v[at.a_rs2] in hazards)):
                 # Stall: keep the regaccess latch, feed a bubble to execute.
-                latches.set("e.valid", 0)
+                v[at.e_valid] = 0
                 return True
-        latches.set("e.op", latches.get("a.op"))
-        latches.set("e.rd", latches.get("a.rd"))
-        latches.set("e.imm", latches.get("a.imm"))
-        latches.set("e.pc", latches.get("a.pc"))
-        latches.set("e.trap", latches.get("a.trap"))
-        latches.set("e.trapkind", latches.get("a.trapkind"))
-        latches.set("e.rs1val", self._read_register(latches.get("a.rs1")))
-        latches.set("e.rs2val", self._read_register(latches.get("a.rs2")))
-        latches.set("e.valid", 1)
-        latches.set("a.valid", 0)
+        v[at.e_op] = v[at.a_op] & m[at.e_op]
+        v[at.e_rd] = v[at.a_rd] & m[at.e_rd]
+        v[at.e_imm] = v[at.a_imm] & m[at.e_imm]
+        v[at.e_pc] = v[at.a_pc] & m[at.e_pc]
+        v[at.e_trap] = v[at.a_trap] & m[at.e_trap]
+        v[at.e_trapkind] = v[at.a_trapkind] & m[at.e_trapkind]
+        v[at.e_rs1val] = self._read_register(v[at.a_rs1]) & m[at.e_rs1val]
+        v[at.e_rs2val] = self._read_register(v[at.a_rs2]) & m[at.e_rs2val]
+        v[at.e_valid] = 1
+        v[at.a_valid] = 0
         return False
 
     # DE -> RA: decode.
     def _stage_decode_to_regaccess(self, redirect: bool, stalled: bool) -> None:
-        latches = self.latches
+        v, m, at = self.latches.values, self.latches.masks, self._at
         if stalled:
             return
-        if redirect or not latches.get("d.valid"):
-            latches.set("a.valid", 0)
+        if redirect or not v[at.d_valid]:
+            v[at.a_valid] = 0
             if redirect:
-                latches.set("d.valid", 0)
+                v[at.d_valid] = 0
             return
-        word = latches.get("d.inst")
-        pc = latches.get("d.pc")
-        latches.set("a.pc", pc)
-        latches.set("a.valid", 1)
-        latches.set("a.trap", 0)
-        latches.set("a.trapkind", 0)
-        if latches.get("d.fetchfault"):
-            latches.set("a.trap", 1)
-            latches.set("a.trapkind", _TRAP_CODES[TrapKind.FETCH_FAULT])
-            latches.set("a.op", 0)
-            latches.set("a.rd", 0)
-            latches.set("a.rs1", 0)
-            latches.set("a.rs2", 0)
-            latches.set("a.imm", 0)
-            latches.set("d.valid", 0)
-            return
-        try:
-            instruction = decode_instruction(word)
-        except EncodingError:
-            latches.set("a.trap", 1)
-            latches.set("a.trapkind", _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
-            latches.set("a.op", 0)
-            latches.set("a.rd", 0)
-            latches.set("a.rs1", 0)
-            latches.set("a.rs2", 0)
-            latches.set("a.imm", 0)
+        v[at.a_pc] = v[at.d_pc] & m[at.a_pc]
+        v[at.a_valid] = 1
+        trap_kind = None
+        if v[at.d_fetchfault]:
+            trap_kind = TrapKind.FETCH_FAULT
         else:
-            latches.set("a.op", int(instruction.opcode))
-            latches.set("a.rd", instruction.rd)
-            latches.set("a.rs1", instruction.rs1)
-            latches.set("a.rs2", instruction.rs2)
-            latches.set("a.imm", instruction.imm)
-        latches.set("d.valid", 0)
+            try:
+                instruction = decode_instruction(v[at.d_inst])
+            except EncodingError:
+                trap_kind = TrapKind.ILLEGAL_INSTRUCTION
+        if trap_kind is None:
+            v[at.a_trap] = 0
+            v[at.a_trapkind] = 0
+            v[at.a_op] = int(instruction.opcode) & m[at.a_op]
+            v[at.a_rd] = instruction.rd & m[at.a_rd]
+            v[at.a_rs1] = instruction.rs1 & m[at.a_rs1]
+            v[at.a_rs2] = instruction.rs2 & m[at.a_rs2]
+            v[at.a_imm] = instruction.imm & m[at.a_imm]
+        else:
+            v[at.a_trap] = 1
+            v[at.a_trapkind] = _TRAP_CODES[trap_kind] & m[at.a_trapkind]
+            v[at.a_op] = v[at.a_rd] = v[at.a_rs1] = v[at.a_rs2] = v[at.a_imm] = 0
+        v[at.d_valid] = 0
 
     # FE -> DE: instruction fetch.
     def _stage_fetch_to_decode(self, redirect: bool, stalled: bool) -> None:
-        latches = self.latches
+        v, m, at = self.latches.values, self.latches.masks, self._at
         if stalled:
             return
         if redirect:
-            latches.set("d.valid", 0)
-            latches.set("f.pc", self._redirect_target)
-            latches.set("f.npc", self._redirect_target + WORD_BYTES)
+            v[at.d_valid] = 0
+            v[at.f_pc] = self._redirect_target & m[at.f_pc]
+            v[at.f_npc] = (self._redirect_target + WORD_BYTES) & m[at.f_npc]
             return
-        pc = latches.get("f.pc")
+        pc = v[at.f_pc]
         instruction = self._program.instruction_at(pc) if self._program else None
         if instruction is None:
             # Fetch fault: send a trap-carrying bubble down the pipeline.  It
             # only terminates the run if an older instruction (for example a
             # HALT already in flight) does not commit or redirect first.
-            latches.set("d.inst", 0)
-            latches.set("d.pc", pc)
-            latches.set("d.fetchfault", 1)
-            latches.set("d.valid", 1)
+            v[at.d_inst] = 0
+            v[at.d_pc] = pc & m[at.d_pc]
+            v[at.d_fetchfault] = 1
+            v[at.d_valid] = 1
             return
-        latches.set("d.fetchfault", 0)
-        latches.set("d.inst", encode_instruction(instruction))
-        latches.set("d.pc", pc)
-        latches.set("d.valid", 1)
-        latches.set("f.pc", pc + WORD_BYTES)
-        latches.set("f.npc", pc + 2 * WORD_BYTES)
-        latches.set("ic.ctrl.state", (latches.get("ic.ctrl.state") + 1) & 0xF)
+        v[at.d_fetchfault] = 0
+        v[at.d_inst] = encode_instruction(instruction) & m[at.d_inst]
+        v[at.d_pc] = pc & m[at.d_pc]
+        v[at.d_valid] = 1
+        v[at.f_pc] = (pc + WORD_BYTES) & m[at.f_pc]
+        v[at.f_npc] = (pc + 2 * WORD_BYTES) & m[at.f_npc]
+        v[at.ic_ctrl_state] = (v[at.ic_ctrl_state] + 1) & m[at.ic_ctrl_state]
         # Hint-only branch prediction bookkeeping.
         if OPCODE_INFO[instruction.opcode].is_branch:
             self._predictor.predict_taken(pc)
 
     def _touch_background_state(self) -> None:
         """Advance peripheral hint state so vanish-class flip-flops toggle."""
-        latches = self.latches
-        latches.set("irq.pending", (latches.get("irq.pending") + 1) & 0xFFFF)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        v[at.irq_pending] = (v[at.irq_pending] + 1) & m[at.irq_pending]
 
     # ------------------------------------------------------------------ attributes
     _redirect_target: int = 0

@@ -26,16 +26,18 @@ not injection targets, as in the paper.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from repro.isa.encoding import EncodingError, decode_instruction, encode_instruction
-from repro.isa.instructions import Opcode, OPCODE_INFO
+from repro.isa.instructions import Opcode, OPCODE_BY_VALUE, OPCODE_INFO
 from repro.isa.program import Program, WORD_BYTES
 from repro.isa.registers import NUM_REGISTERS
 from repro.microarch.core import BaseCore, CoreClass
 from repro.microarch.events import TerminationReason, TrapKind
 from repro.microarch.execute import ExecuteTrap, execute_operation
 from repro.microarch.memory import MemoryFault, MemorySystem
+from repro.microarch.state import LatchState, to_signed
 
 OOO_CLOCK_MHZ = 600.0
 """Nominal clock of the OoO-core (600 MHz, Table 1)."""
@@ -59,6 +61,32 @@ _TRAP_CODES = {
     TrapKind.SOFTWARE_ASSERTION: 5,
 }
 _TRAP_FROM_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
+
+# Per-entry flip-flop fields (name -> width) in registration order, and the
+# named tuples of their latch positions the step code indexes with.
+_FB_FIELDS = {"valid": 1, "inst": 32, "pc": 32, "fault": 1}
+_ROB_FIELDS = {"valid": 1, "op": 7, "rd": 5, "result": 32, "ready": 1,
+               "exception": 1, "expkind": 3, "is_store": 1, "is_out": 1,
+               "is_branch": 1, "ckpt": 3, "pc": 32}
+_IQ_FIELDS = {"valid": 1, "op": 7, "rob": 6, "imm": 15, "pc": 32,
+              "s1ready": 1, "s1tag": 6, "s1val": 32, "s2ready": 1,
+              "s2tag": 6, "s2val": 32, "issued": 1}
+_STQ_FIELDS = {"valid": 1, "rob": 6, "addr": 32, "addrvalid": 1, "data": 32,
+               "byte": 1}
+_FbEntry = namedtuple("_FbEntry", _FB_FIELDS)
+_RobEntry = namedtuple("_RobEntry", _ROB_FIELDS)
+_IqEntry = namedtuple("_IqEntry", _IQ_FIELDS)
+_StqEntry = namedtuple("_StqEntry", _STQ_FIELDS)
+_RatEntry = namedtuple("_RatEntry", ("busy", "rob"))
+_CkptEntry = namedtuple("_CkptEntry", ("map", "valid"))
+
+
+def _entry_handles(latches: LatchState, fields, name: str, count: int) -> tuple:
+    """Latch positions of ``fields`` for entries ``0..count-1``, where
+    ``name.format(entry, field)`` is the structure name."""
+    return tuple(fields._make(latches.position(name.format(i, field))
+                              for field in fields._fields)
+                 for i in range(count))
 
 
 @dataclass
@@ -88,6 +116,26 @@ class OutOfOrderCore(BaseCore):
         self.registers: list[int] = [0] * NUM_REGISTERS
         self._in_flight: list[_InFlightOp] = []
         self._fetch_stalled = False
+        # Latch positions, resolved once; the step code indexes
+        # ``self.latches.values`` with them.
+        latches = self.latches
+        self._fb = _entry_handles(latches, _FbEntry, "fb.e{}.{}",
+                                  FETCH_BUFFER_ENTRIES)
+        self._rat = _entry_handles(latches, _RatEntry, "rat.r{:02d}.{}",
+                                   NUM_REGISTERS)
+        self._ckpt = _entry_handles(latches, _CkptEntry, "ckpt.c{}.{}",
+                                    CHECKPOINTS)
+        self._rob = _entry_handles(latches, _RobEntry, "rob.e{:02d}.{}",
+                                   ROB_ENTRIES)
+        self._iq = _entry_handles(latches, _IqEntry, "iq.e{:02d}.{}", IQ_ENTRIES)
+        self._stq = _entry_handles(latches, _StqEntry, "stq.e{}.{}", STQ_ENTRIES)
+        self._at = latches.handles((
+            "fetch.pc", "fetch.valid", "fetch.stall", "fb.head", "fb.tail",
+            "fb.count", "bp.gshare.table", "bp.gshare.history", "rob.head",
+            "rob.tail", "rob.count", "stq.head", "stq.tail", "stq.count",
+            "ldq.numentries", "mem.l1dcache.addr1.out",
+            "mem.l1dcache.accessaddr0", "mem.l1dcache.accessfulldata0",
+            "perf.counter0", "perf.counter1"))
 
     # ------------------------------------------------------------------ state declaration
     def _declare_state(self) -> None:
@@ -98,11 +146,8 @@ class OutOfOrderCore(BaseCore):
         reg("fetch.valid", 1, "fetch")
         reg("fetch.stall", 1, "fetch")
         for i in range(FETCH_BUFFER_ENTRIES):
-            prefix = f"fb.e{i}"
-            reg(f"{prefix}.valid", 1, "fetch")
-            reg(f"{prefix}.inst", 32, "fetch")
-            reg(f"{prefix}.pc", 32, "fetch")
-            reg(f"{prefix}.fault", 1, "fetch")
+            for field, width in _FB_FIELDS.items():
+                reg(f"fb.e{i}.{field}", width, "fetch")
         reg("fb.head", 3, "fetch")
         reg("fb.tail", 3, "fetch")
         reg("fb.count", 4, "fetch")
@@ -125,48 +170,21 @@ class OutOfOrderCore(BaseCore):
 
         # Reorder buffer.
         for i in range(ROB_ENTRIES):
-            prefix = f"rob.e{i:02d}"
-            reg(f"{prefix}.valid", 1, "rob")
-            reg(f"{prefix}.op", 7, "rob")
-            reg(f"{prefix}.rd", 5, "rob")
-            reg(f"{prefix}.result", 32, "rob")
-            reg(f"{prefix}.ready", 1, "rob")
-            reg(f"{prefix}.exception", 1, "rob")
-            reg(f"{prefix}.expkind", 3, "rob")
-            reg(f"{prefix}.is_store", 1, "rob")
-            reg(f"{prefix}.is_out", 1, "rob")
-            reg(f"{prefix}.is_branch", 1, "rob")
-            reg(f"{prefix}.ckpt", 3, "rob")
-            reg(f"{prefix}.pc", 32, "rob")
+            for field, width in _ROB_FIELDS.items():
+                reg(f"rob.e{i:02d}.{field}", width, "rob")
         reg("rob.head", 6, "rob")
         reg("rob.tail", 6, "rob")
         reg("rob.count", 7, "rob")
 
         # Issue queue (reservation stations).
         for i in range(IQ_ENTRIES):
-            prefix = f"iq.e{i:02d}"
-            reg(f"{prefix}.valid", 1, "issue")
-            reg(f"{prefix}.op", 7, "issue")
-            reg(f"{prefix}.rob", 6, "issue")
-            reg(f"{prefix}.imm", 15, "issue")
-            reg(f"{prefix}.pc", 32, "issue")
-            reg(f"{prefix}.s1ready", 1, "issue")
-            reg(f"{prefix}.s1tag", 6, "issue")
-            reg(f"{prefix}.s1val", 32, "issue")
-            reg(f"{prefix}.s2ready", 1, "issue")
-            reg(f"{prefix}.s2tag", 6, "issue")
-            reg(f"{prefix}.s2val", 32, "issue")
-            reg(f"{prefix}.issued", 1, "issue")
+            for field, width in _IQ_FIELDS.items():
+                reg(f"iq.e{i:02d}.{field}", width, "issue")
 
         # Store queue (drains at commit).
         for i in range(STQ_ENTRIES):
-            prefix = f"stq.e{i}"
-            reg(f"{prefix}.valid", 1, "lsu")
-            reg(f"{prefix}.rob", 6, "lsu")
-            reg(f"{prefix}.addr", 32, "lsu")
-            reg(f"{prefix}.addrvalid", 1, "lsu")
-            reg(f"{prefix}.data", 32, "lsu")
-            reg(f"{prefix}.byte", 1, "lsu")
+            for field, width in _STQ_FIELDS.items():
+                reg(f"stq.e{i}.{field}", width, "lsu")
         reg("stq.head", 3, "lsu")
         reg("stq.tail", 3, "lsu")
         reg("stq.count", 4, "lsu")
@@ -245,28 +263,13 @@ class OutOfOrderCore(BaseCore):
 
     # ------------------------------------------------------------------ small helpers
     # Pointer latches are wider than their structures need (rob.head/tail are
-    # 6-bit for 40 entries, fb.head/tail 3-bit for 6), so an injected flip
-    # can leave a pointer past the last entry.  Real hardware would address
-    # whatever the extra bits select; the model wraps the index so corrupted
-    # pointers keep simulating (and get classified by outcome) instead of
-    # raising KeyError on a nonexistent latch.
-    def _rob_field(self, index: int, fieldname: str) -> str:
-        return f"rob.e{index % ROB_ENTRIES:02d}.{fieldname}"
-
-    def _fb_field(self, index: int, fieldname: str) -> str:
-        return f"fb.e{index % FETCH_BUFFER_ENTRIES}.{fieldname}"
-
-    def _iq_field(self, index: int, fieldname: str) -> str:
-        return f"iq.e{index:02d}.{fieldname}"
-
-    def _stq_field(self, index: int, fieldname: str) -> str:
-        return f"stq.e{index}.{fieldname}"
-
-    def _rob_age(self, index: int) -> int:
-        """Age of a ROB entry relative to the head (0 = oldest)."""
-        head = self.latches.get("rob.head")
-        return (index - head) % ROB_ENTRIES
-
+    # 6-bit for 40 entries, fb.head/tail 3-bit for 6, ROB tags 6-bit), so an
+    # injected flip can leave a pointer past the last entry.  Real hardware
+    # would address whatever the extra bits select; the model wraps every
+    # index derived from one (``% ROB_ENTRIES``, ``% FETCH_BUFFER_ENTRIES``)
+    # so corrupted pointers keep simulating (and get classified by outcome)
+    # instead of indexing past the entry tables.  A ROB entry's age is its
+    # distance from the head, ``(index - rob.head) % ROB_ENTRIES`` (0 = oldest).
     def _read_register(self, index: int) -> int:
         return self.registers[index & 0x1F]
 
@@ -284,8 +287,9 @@ class OutOfOrderCore(BaseCore):
         self.registers[2] = DEFAULT_STACK_TOP - WORD_BYTES
         self._in_flight = []
         self._fetch_stalled = False
-        self.latches.set("fetch.pc", program.entry_point)
-        self.latches.set("fetch.valid", 1)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        v[at.fetch_pc] = program.entry_point & m[at.fetch_pc]
+        v[at.fetch_valid] = 1
 
     # ------------------------------------------------------------------ checkpointing
     def _snapshot_microarchitecture(self) -> dict:
@@ -318,7 +322,6 @@ class OutOfOrderCore(BaseCore):
         if self.terminated:
             return
         self._writeback()
-        self._execute_memory_ops()
         self._issue()
         self._rename_dispatch()
         self._fetch()
@@ -326,103 +329,97 @@ class OutOfOrderCore(BaseCore):
 
     # ------------------------------------------------------------------ commit
     def _commit(self) -> None:
-        latches = self.latches
+        v, m, at = self.latches.values, self.latches.masks, self._at
         for _ in range(COMMIT_WIDTH):
-            if latches.get("rob.count") == 0:
+            if v[at.rob_count] == 0:
                 return
-            head = latches.get("rob.head")
-            if not latches.get(self._rob_field(head, "valid")):
+            head = v[at.rob_head]
+            entry = self._rob[head % ROB_ENTRIES]
+            if not v[entry.valid]:
                 # Head bookkeeping corrupted; treat as a pipeline hang source.
                 return
-            if not latches.get(self._rob_field(head, "ready")):
+            if not v[entry.ready]:
                 return
-            if latches.get(self._rob_field(head, "exception")):
-                kind = _TRAP_FROM_CODE.get(
-                    latches.get(self._rob_field(head, "expkind")),
-                    TrapKind.ILLEGAL_INSTRUCTION)
+            if v[entry.exception]:
+                kind = _TRAP_FROM_CODE.get(v[entry.expkind],
+                                           TrapKind.ILLEGAL_INSTRUCTION)
                 reason = (TerminationReason.DETECTED
                           if kind is TrapKind.SOFTWARE_ASSERTION
                           else TerminationReason.TRAP)
                 self.force_termination(reason, kind)
                 return
-            op_value = latches.get(self._rob_field(head, "op"))
-            try:
-                opcode = Opcode(op_value)
-                info = OPCODE_INFO[opcode]
-            except ValueError:
-                opcode = None
-                info = None
-            if latches.get(self._rob_field(head, "is_store")):
-                if not self._commit_store(head):
+            opcode = OPCODE_BY_VALUE.get(v[entry.op])
+            info = OPCODE_INFO.get(opcode)
+            if v[entry.is_store]:
+                if not self._commit_store():
                     return
-            if latches.get(self._rob_field(head, "is_out")):
-                self.emit_output(latches.get(self._rob_field(head, "result")))
+            if v[entry.is_out]:
+                self.emit_output(v[entry.result])
             if info is not None and info.writes_rd:
-                rd = latches.get(self._rob_field(head, "rd"))
-                self._write_register(rd, latches.get(self._rob_field(head, "result")))
-                if (latches.get(f"rat.r{rd:02d}.busy")
-                        and latches.get(f"rat.r{rd:02d}.rob") == head):
-                    latches.set(f"rat.r{rd:02d}.busy", 0)
+                rd = v[entry.rd]
+                self._write_register(rd, v[entry.result])
+                rat = self._rat[rd]
+                if v[rat.busy] and v[rat.rob] == head:
+                    v[rat.busy] = 0
                 # Keep live checkpoints consistent: once this producer has
                 # committed, a later recovery must map its destination to the
                 # architectural register file, not to the freed ROB entry.
                 self._patch_checkpoints_for_commit(rd, head)
-            if latches.get(self._rob_field(head, "is_branch")):
-                ckpt = latches.get(self._rob_field(head, "ckpt"))
+            if v[entry.is_branch]:
+                ckpt = v[entry.ckpt]
                 if ckpt < CHECKPOINTS:
-                    latches.set(f"ckpt.c{ckpt}.valid", 0)
+                    v[self._ckpt[ckpt].valid] = 0
             self.note_retired()
-            latches.set(self._rob_field(head, "valid"), 0)
-            latches.set("rob.head", (head + 1) % ROB_ENTRIES)
-            latches.set("rob.count", latches.get("rob.count") - 1)
+            v[entry.valid] = 0
+            v[at.rob_head] = ((head + 1) % ROB_ENTRIES) & m[at.rob_head]
+            v[at.rob_count] = (v[at.rob_count] - 1) & m[at.rob_count]
             if opcode is Opcode.HALT:
                 self.force_termination(TerminationReason.HALTED)
                 return
 
     def _patch_checkpoints_for_commit(self, rd: int, rob_index: int) -> None:
         """Clear ``rd -> rob_index`` mappings inside every live checkpoint."""
-        latches = self.latches
+        v, m = self.latches.values, self.latches.masks
         shift = 7 * rd
-        for i in range(CHECKPOINTS):
-            if not latches.get(f"ckpt.c{i}.valid"):
+        for ckpt in self._ckpt:
+            if not v[ckpt.valid]:
                 continue
-            packed = latches.get(f"ckpt.c{i}.map")
+            packed = v[ckpt.map]
             entry = (packed >> shift) & 0x7F
             if (entry & 1) and ((entry >> 1) & 0x3F) == rob_index:
-                latches.set(f"ckpt.c{i}.map", packed & ~(0x7F << shift))
+                v[ckpt.map] = packed & ~(0x7F << shift) & m[ckpt.map]
 
-    def _commit_store(self, rob_index: int) -> bool:
+    def _commit_store(self) -> bool:
         """Drain the store-queue head for the committing store.
 
         Returns False (and terminates the run) on a memory fault.
         """
-        latches = self.latches
-        head = latches.get("stq.head")
-        if latches.get("stq.count") == 0 or not latches.get(self._stq_field(head, "valid")):
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        head = v[at.stq_head]
+        entry = self._stq[head]
+        if v[at.stq_count] == 0 or not v[entry.valid]:
             # Store queue out of sync with the ROB (only possible under
             # injection): raise a machine trap.
             self.force_termination(TerminationReason.TRAP, TrapKind.MEMORY_FAULT)
             return False
-        address = latches.get(self._stq_field(head, "addr"))
-        data = latches.get(self._stq_field(head, "data"))
-        is_byte = latches.get(self._stq_field(head, "byte"))
+        address = v[entry.addr]
+        data = v[entry.data]
         try:
-            if is_byte:
+            if v[entry.byte]:
                 self.memory.store_byte(address, data)
             else:
                 self.memory.store_word(address, data)
         except MemoryFault:
             self.force_termination(TerminationReason.TRAP, TrapKind.MEMORY_FAULT)
             return False
-        latches.set(self._stq_field(head, "valid"), 0)
-        latches.set("stq.head", (head + 1) % STQ_ENTRIES)
-        latches.set("stq.count", latches.get("stq.count") - 1)
-        latches.set("mem.l1dcache.addr1.out", address)
+        v[entry.valid] = 0
+        v[at.stq_head] = ((head + 1) % STQ_ENTRIES) & m[at.stq_head]
+        v[at.stq_count] = (v[at.stq_count] - 1) & m[at.stq_count]
+        v[at.mem_l1dcache_addr1_out] = address & m[at.mem_l1dcache_addr1_out]
         return True
 
     # ------------------------------------------------------------------ writeback
     def _writeback(self) -> None:
-        latches = self.latches
         still_in_flight: list[_InFlightOp] = []
         for op in self._in_flight:
             op.remaining_cycles -= 1
@@ -439,62 +436,59 @@ class OutOfOrderCore(BaseCore):
         self._in_flight = still_in_flight
 
     def _complete_op(self, op: _InFlightOp) -> None:
-        latches = self.latches
+        v, m = self.latches.values, self.latches.masks
         rob_index = op.rob_index
-        if not latches.get(self._rob_field(rob_index, "valid")):
+        entry = self._rob[rob_index % ROB_ENTRIES]
+        if not v[entry.valid]:
             return  # squashed while executing
         try:
             result = execute_operation(op.opcode, op.rs1_value, op.rs2_value,
                                        op.imm, op.pc)
         except ExecuteTrap as trap:
-            latches.set(self._rob_field(rob_index, "exception"), 1)
-            latches.set(self._rob_field(rob_index, "expkind"), _TRAP_CODES[trap.kind])
-            latches.set(self._rob_field(rob_index, "ready"), 1)
+            v[entry.exception] = 1
+            v[entry.expkind] = _TRAP_CODES[trap.kind] & m[entry.expkind]
+            v[entry.ready] = 1
             return
         info = OPCODE_INFO.get(op.opcode)
         if op.opcode in (Opcode.SW, Opcode.SB):
             self._fill_store_queue(rob_index, result.memory_address, result.store_value,
                                    is_byte=op.opcode is Opcode.SB)
         if op.opcode is Opcode.OUT:
-            latches.set(self._rob_field(rob_index, "result"), result.output_value or 0)
+            v[entry.result] = (result.output_value or 0) & m[entry.result]
         elif info is not None and info.writes_rd:
-            latches.set(self._rob_field(rob_index, "result"), result.value)
+            v[entry.result] = result.value & m[entry.result]
             self._broadcast(rob_index, result.value)
-        latches.set(self._rob_field(rob_index, "ready"), 1)
-        if latches.get(self._rob_field(rob_index, "is_branch")) or op.opcode in (
-                Opcode.JAL, Opcode.JALR):
+        v[entry.ready] = 1
+        if v[entry.is_branch] or op.opcode in (Opcode.JAL, Opcode.JALR):
             self._resolve_branch(op, result.branch_taken, result.branch_target)
 
     def _fill_store_queue(self, rob_index: int, address: int | None, data: int | None,
                           is_byte: bool) -> None:
-        latches = self.latches
-        for i in range(STQ_ENTRIES):
-            if (latches.get(self._stq_field(i, "valid"))
-                    and latches.get(self._stq_field(i, "rob")) == rob_index):
-                latches.set(self._stq_field(i, "addr"), address or 0)
-                latches.set(self._stq_field(i, "addrvalid"), 1)
-                latches.set(self._stq_field(i, "data"), data or 0)
-                latches.set(self._stq_field(i, "byte"), 1 if is_byte else 0)
+        v, m = self.latches.values, self.latches.masks
+        for entry in self._stq:
+            if v[entry.valid] and v[entry.rob] == rob_index:
+                v[entry.addr] = (address or 0) & m[entry.addr]
+                v[entry.addrvalid] = 1
+                v[entry.data] = (data or 0) & m[entry.data]
+                v[entry.byte] = 1 if is_byte else 0
                 return
 
     def _broadcast(self, rob_index: int, value: int) -> None:
         """Wake issue-queue consumers waiting on a ROB tag."""
-        latches = self.latches
-        for i in range(IQ_ENTRIES):
-            if not latches.get(self._iq_field(i, "valid")):
+        v, m = self.latches.values, self.latches.masks
+        for entry in self._iq:
+            if not v[entry.valid]:
                 continue
-            if (not latches.get(self._iq_field(i, "s1ready"))
-                    and latches.get(self._iq_field(i, "s1tag")) == rob_index):
-                latches.set(self._iq_field(i, "s1val"), value)
-                latches.set(self._iq_field(i, "s1ready"), 1)
-            if (not latches.get(self._iq_field(i, "s2ready"))
-                    and latches.get(self._iq_field(i, "s2tag")) == rob_index):
-                latches.set(self._iq_field(i, "s2val"), value)
-                latches.set(self._iq_field(i, "s2ready"), 1)
+            if not v[entry.s1ready] and v[entry.s1tag] == rob_index:
+                v[entry.s1val] = value & m[entry.s1val]
+                v[entry.s1ready] = 1
+            if not v[entry.s2ready] and v[entry.s2tag] == rob_index:
+                v[entry.s2val] = value & m[entry.s2val]
+                v[entry.s2ready] = 1
 
     # ------------------------------------------------------------------ branch recovery
     def _resolve_branch(self, op: _InFlightOp, taken: bool, target: int) -> None:
-        latches = self.latches
+        v, m, at = self.latches.values, self.latches.masks, self._at
         rob_index = op.rob_index
         predicted_next = (op.pc + WORD_BYTES) & 0xFFFFFFFF
         actual_next = target if taken else predicted_next
@@ -502,99 +496,96 @@ class OutOfOrderCore(BaseCore):
         if actual_next == predicted_next:
             return  # fall-through prediction was correct
         # Mispredict: squash everything younger than the branch.
-        branch_age = self._rob_age(rob_index)
-        ckpt = latches.get(self._rob_field(rob_index, "ckpt"))
-        if ckpt < CHECKPOINTS and latches.get(f"ckpt.c{ckpt}.valid"):
+        branch_age = (rob_index - v[at.rob_head]) % ROB_ENTRIES
+        entry = self._rob[rob_index % ROB_ENTRIES]
+        ckpt = v[entry.ckpt]
+        if ckpt < CHECKPOINTS and v[self._ckpt[ckpt].valid]:
             self._restore_checkpoint(ckpt)
         # The checkpoint slot is consumed here; clear the ROB's reference so
         # the slot is not freed a second time at commit after another branch
         # has re-allocated it.
-        latches.set(self._rob_field(rob_index, "ckpt"), CHECKPOINTS)
+        v[entry.ckpt] = CHECKPOINTS & m[entry.ckpt]
         self._squash_younger_than(branch_age)
-        latches.set("rob.tail", (rob_index + 1) % ROB_ENTRIES)
-        latches.set("rob.count", branch_age + 1)
-        latches.set("fetch.pc", actual_next)
-        latches.set("fetch.stall", 0)
+        v[at.rob_tail] = ((rob_index + 1) % ROB_ENTRIES) & m[at.rob_tail]
+        v[at.rob_count] = (branch_age + 1) & m[at.rob_count]
+        v[at.fetch_pc] = actual_next & m[at.fetch_pc]
+        v[at.fetch_stall] = 0
         self._fetch_stalled = False
         self._clear_fetch_buffer()
 
     def _restore_checkpoint(self, ckpt: int) -> None:
-        latches = self.latches
-        packed = latches.get(f"ckpt.c{ckpt}.map")
-        for r in range(NUM_REGISTERS):
+        v, m = self.latches.values, self.latches.masks
+        checkpoint = self._ckpt[ckpt]
+        packed = v[checkpoint.map]
+        for r, rat in enumerate(self._rat):
             fieldvalue = (packed >> (7 * r)) & 0x7F
-            latches.set(f"rat.r{r:02d}.busy", fieldvalue & 1)
-            latches.set(f"rat.r{r:02d}.rob", (fieldvalue >> 1) & 0x3F)
-        latches.set(f"ckpt.c{ckpt}.valid", 0)
+            v[rat.busy] = fieldvalue & m[rat.busy]
+            v[rat.rob] = (fieldvalue >> 1) & m[rat.rob]
+        v[checkpoint.valid] = 0
 
     def _squash_younger_than(self, age_limit: int) -> None:
         """Invalidate every in-flight instruction younger than ``age_limit``."""
-        latches = self.latches
-        for i in range(ROB_ENTRIES):
-            if latches.get(self._rob_field(i, "valid")) and self._rob_age(i) > age_limit:
-                if latches.get(self._rob_field(i, "is_branch")):
-                    ckpt = latches.get(self._rob_field(i, "ckpt"))
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        rob_head = v[at.rob_head]
+        for i, entry in enumerate(self._rob):
+            if v[entry.valid] and (i - rob_head) % ROB_ENTRIES > age_limit:
+                if v[entry.is_branch]:
+                    ckpt = v[entry.ckpt]
                     if ckpt < CHECKPOINTS:
-                        latches.set(f"ckpt.c{ckpt}.valid", 0)
-                latches.set(self._rob_field(i, "valid"), 0)
-        for i in range(IQ_ENTRIES):
-            if latches.get(self._iq_field(i, "valid")):
-                rob_index = latches.get(self._iq_field(i, "rob"))
-                if self._rob_age(rob_index) > age_limit:
-                    latches.set(self._iq_field(i, "valid"), 0)
+                        v[self._ckpt[ckpt].valid] = 0
+                v[entry.valid] = 0
+        for entry in self._iq:
+            if v[entry.valid] and (v[entry.rob] - rob_head) % ROB_ENTRIES > age_limit:
+                v[entry.valid] = 0
         # Store queue entries of squashed stores are removed by rebuilding the
         # queue in order.
-        surviving: list[dict[str, int]] = []
-        head = latches.get("stq.head")
-        count = latches.get("stq.count")
-        for offset in range(count):
-            index = (head + offset) % STQ_ENTRIES
-            entry = {name: latches.get(self._stq_field(index, name))
-                     for name in ("valid", "rob", "addr", "addrvalid", "data", "byte")}
-            if entry["valid"] and self._rob_age(entry["rob"]) <= age_limit:
-                surviving.append(entry)
-            latches.set(self._stq_field(index, "valid"), 0)
-        for offset, entry in enumerate(surviving):
-            index = (head + offset) % STQ_ENTRIES
-            for name, value in entry.items():
-                latches.set(self._stq_field(index, name), value)
-        latches.set("stq.tail", (head + len(surviving)) % STQ_ENTRIES)
-        latches.set("stq.count", len(surviving))
+        surviving: list[list[int]] = []
+        head = v[at.stq_head]
+        for offset in range(v[at.stq_count]):
+            entry = self._stq[(head + offset) % STQ_ENTRIES]
+            values = [v[position] for position in entry]
+            if v[entry.valid] and (v[entry.rob] - rob_head) % ROB_ENTRIES <= age_limit:
+                surviving.append(values)
+            v[entry.valid] = 0
+        for offset, values in enumerate(surviving):
+            entry = self._stq[(head + offset) % STQ_ENTRIES]
+            for position, value in zip(entry, values):
+                v[position] = value & m[position]
+        v[at.stq_tail] = ((head + len(surviving)) % STQ_ENTRIES) & m[at.stq_tail]
+        v[at.stq_count] = len(surviving) & m[at.stq_count]
         # Drop squashed ops from the execution units.
         self._in_flight = [op for op in self._in_flight
-                           if self._rob_age(op.rob_index) <= age_limit]
+                           if (op.rob_index - rob_head) % ROB_ENTRIES <= age_limit]
 
     def _clear_fetch_buffer(self) -> None:
-        latches = self.latches
-        for i in range(FETCH_BUFFER_ENTRIES):
-            latches.set(f"fb.e{i}.valid", 0)
-        latches.set("fb.head", 0)
-        latches.set("fb.tail", 0)
-        latches.set("fb.count", 0)
+        v, at = self.latches.values, self._at
+        for entry in self._fb:
+            v[entry.valid] = 0
+        v[at.fb_head] = 0
+        v[at.fb_tail] = 0
+        v[at.fb_count] = 0
 
     def _train_predictor(self, pc: int, taken: bool) -> None:
         """Update gshare hint state (never consulted for correctness)."""
-        latches = self.latches
-        history = latches.get("bp.gshare.history")
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        history = v[at.bp_gshare_history]
         index = ((pc >> 2) ^ history) % 1024
-        table = latches.get("bp.gshare.table")
+        table = v[at.bp_gshare_table]
         counter = (table >> (2 * index)) & 0x3
         counter = min(3, counter + 1) if taken else max(0, counter - 1)
         table &= ~(0x3 << (2 * index))
         table |= counter << (2 * index)
-        latches.set("bp.gshare.table", table)
-        latches.set("bp.gshare.history", ((history << 1) | int(taken)) & 0xFFF)
+        v[at.bp_gshare_table] = table & m[at.bp_gshare_table]
+        v[at.bp_gshare_history] = (((history << 1) | int(taken))
+                                   & m[at.bp_gshare_history])
 
     # ------------------------------------------------------------------ memory ops
-    def _execute_memory_ops(self) -> None:
-        """Advance loads waiting on store-address resolution (handled in
-        :meth:`_complete_load`); nothing additional to do per cycle."""
-
     def _complete_load(self, op: _InFlightOp) -> bool:
         """Try to complete a load; returns False if it must retry next cycle."""
-        latches = self.latches
+        v, m, at = self.latches.values, self.latches.masks, self._at
         rob_index = op.rob_index
-        if not latches.get(self._rob_field(rob_index, "valid")):
+        entry = self._rob[rob_index % ROB_ENTRIES]
+        if not v[entry.valid]:
             return True  # squashed
         address = op.load_address
         if address is None:
@@ -602,21 +593,20 @@ class OutOfOrderCore(BaseCore):
                                        op.imm, op.pc)
             address = result.memory_address or 0
             op.load_address = address
-        load_age = self._rob_age(rob_index)
+        rob_head = v[at.rob_head]
+        load_age = (rob_index - rob_head) % ROB_ENTRIES
         forwarded: int | None = None
-        head = latches.get("stq.head")
-        count = latches.get("stq.count")
-        for offset in range(count):
-            index = (head + offset) % STQ_ENTRIES
-            if not latches.get(self._stq_field(index, "valid")):
+        head = v[at.stq_head]
+        for offset in range(v[at.stq_count]):
+            store = self._stq[(head + offset) % STQ_ENTRIES]
+            if not v[store.valid]:
                 continue
-            store_rob = latches.get(self._stq_field(index, "rob"))
-            if self._rob_age(store_rob) >= load_age:
+            if (v[store.rob] - rob_head) % ROB_ENTRIES >= load_age:
                 continue  # younger than or same as the load
-            if not latches.get(self._stq_field(index, "addrvalid")):
+            if not v[store.addrvalid]:
                 return False  # older store with unknown address: wait
-            if latches.get(self._stq_field(index, "addr")) == address:
-                forwarded = latches.get(self._stq_field(index, "data"))
+            if v[store.addr] == address:
+                forwarded = v[store.data]
         if forwarded is not None:
             value = forwarded
         else:
@@ -626,237 +616,239 @@ class OutOfOrderCore(BaseCore):
                 else:
                     value = self.memory.load_word(address)
             except MemoryFault:
-                latches.set(self._rob_field(rob_index, "exception"), 1)
-                latches.set(self._rob_field(rob_index, "expkind"),
-                            _TRAP_CODES[TrapKind.MEMORY_FAULT])
-                latches.set(self._rob_field(rob_index, "ready"), 1)
+                v[entry.exception] = 1
+                v[entry.expkind] = (_TRAP_CODES[TrapKind.MEMORY_FAULT]
+                                    & m[entry.expkind])
+                v[entry.ready] = 1
                 return True
-        latches.set(self._rob_field(rob_index, "result"), value)
-        latches.set(self._rob_field(rob_index, "ready"), 1)
+        v[entry.result] = value & m[entry.result]
+        v[entry.ready] = 1
         self._broadcast(rob_index, value)
-        latches.set("mem.l1dcache.accessaddr0", address)
-        latches.set("mem.l1dcache.accessfulldata0", value)
+        v[at.mem_l1dcache_accessaddr0] = address & m[at.mem_l1dcache_accessaddr0]
+        v[at.mem_l1dcache_accessfulldata0] = (value
+                                              & m[at.mem_l1dcache_accessfulldata0])
         return True
 
     # ------------------------------------------------------------------ issue
     def _issue(self) -> None:
-        latches = self.latches
+        v, m = self.latches.values, self.latches.masks
+        rob_head = v[self._at.rob_head]
+        iq = self._iq
         candidates: list[tuple[int, int]] = []
-        for i in range(IQ_ENTRIES):
-            if (latches.get(self._iq_field(i, "valid"))
-                    and not latches.get(self._iq_field(i, "issued"))
-                    and latches.get(self._iq_field(i, "s1ready"))
-                    and latches.get(self._iq_field(i, "s2ready"))):
-                rob_index = latches.get(self._iq_field(i, "rob"))
-                candidates.append((self._rob_age(rob_index), i))
+        for i, entry in enumerate(iq):
+            if (v[entry.valid] and not v[entry.issued]
+                    and v[entry.s1ready] and v[entry.s2ready]):
+                candidates.append(((v[entry.rob] - rob_head) % ROB_ENTRIES, i))
         candidates.sort()
         for _, iq_index in candidates[:ISSUE_WIDTH]:
-            rob_index = latches.get(self._iq_field(iq_index, "rob"))
-            if not latches.get(self._rob_field(rob_index, "valid")):
-                latches.set(self._iq_field(iq_index, "valid"), 0)
+            entry = iq[iq_index]
+            rob_index = v[entry.rob]
+            rob_entry = self._rob[rob_index % ROB_ENTRIES]
+            if not v[rob_entry.valid]:
+                v[entry.valid] = 0
                 continue
-            op_value = latches.get(self._iq_field(iq_index, "op"))
-            try:
-                opcode = Opcode(op_value)
-                info = OPCODE_INFO[opcode]
-            except ValueError:
-                latches.set(self._rob_field(rob_index, "exception"), 1)
-                latches.set(self._rob_field(rob_index, "expkind"),
-                            _TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION])
-                latches.set(self._rob_field(rob_index, "ready"), 1)
-                latches.set(self._iq_field(iq_index, "valid"), 0)
+            opcode = OPCODE_BY_VALUE.get(v[entry.op])
+            if opcode is None:
+                v[rob_entry.exception] = 1
+                v[rob_entry.expkind] = (_TRAP_CODES[TrapKind.ILLEGAL_INSTRUCTION]
+                                        & m[rob_entry.expkind])
+                v[rob_entry.ready] = 1
+                v[entry.valid] = 0
                 continue
+            info = OPCODE_INFO[opcode]
             in_flight = _InFlightOp(
                 rob_index=rob_index,
                 opcode=opcode,
-                rs1_value=latches.get(self._iq_field(iq_index, "s1val")),
-                rs2_value=latches.get(self._iq_field(iq_index, "s2val")),
-                imm=latches.get_signed(self._iq_field(iq_index, "imm")),
-                pc=latches.get(self._iq_field(iq_index, "pc")),
+                rs1_value=v[entry.s1val],
+                rs2_value=v[entry.s2val],
+                imm=to_signed(v[entry.imm], m[entry.imm]),
+                pc=v[entry.pc],
                 remaining_cycles=max(1, info.execute_latency),
                 is_load=info.is_load,
             )
             self._in_flight.append(in_flight)
-            latches.set(self._iq_field(iq_index, "issued"), 1)
-            latches.set(self._iq_field(iq_index, "valid"), 0)
+            v[entry.issued] = 1
+            v[entry.valid] = 0
 
     # ------------------------------------------------------------------ rename / dispatch
     def _rename_dispatch(self) -> None:
-        latches = self.latches
+        v, m, at = self.latches.values, self.latches.masks, self._at
         for _ in range(RENAME_WIDTH):
-            if latches.get("fb.count") == 0:
+            if v[at.fb_count] == 0:
                 return
-            if latches.get("rob.count") >= ROB_ENTRIES:
+            if v[at.rob_count] >= ROB_ENTRIES:
                 return
             free_iq = self._find_free_iq_entry()
             if free_iq is None:
                 return
-            fb_head = latches.get("fb.head")
-            fault = latches.get(self._fb_field(fb_head, "fault"))
-            word = latches.get(self._fb_field(fb_head, "inst"))
-            pc = latches.get(self._fb_field(fb_head, "pc"))
+            fb_head = v[at.fb_head]
+            fetched = self._fb[fb_head % FETCH_BUFFER_ENTRIES]
+            pc = v[fetched.pc]
             instruction = None
             trap_kind: TrapKind | None = None
-            if fault:
+            if v[fetched.fault]:
                 trap_kind = TrapKind.FETCH_FAULT
             else:
                 try:
-                    instruction = decode_instruction(word)
+                    instruction = decode_instruction(v[fetched.inst])
                 except EncodingError:
                     trap_kind = TrapKind.ILLEGAL_INSTRUCTION
             if instruction is not None:
                 info = OPCODE_INFO[instruction.opcode]
-                if info.is_store and latches.get("stq.count") >= STQ_ENTRIES:
+                if info.is_store and v[at.stq_count] >= STQ_ENTRIES:
                     return
                 if ((info.is_branch or info.is_jump)
                         and self._find_free_checkpoint() is None):
                     return
             # Consume the fetch-buffer entry.
-            latches.set(self._fb_field(fb_head, "valid"), 0)
-            latches.set("fb.head", (fb_head + 1) % FETCH_BUFFER_ENTRIES)
-            latches.set("fb.count", latches.get("fb.count") - 1)
+            v[fetched.valid] = 0
+            v[at.fb_head] = ((fb_head + 1) % FETCH_BUFFER_ENTRIES) & m[at.fb_head]
+            v[at.fb_count] = (v[at.fb_count] - 1) & m[at.fb_count]
             # Allocate the ROB entry.
-            tail = latches.get("rob.tail")
-            latches.set(self._rob_field(tail, "valid"), 1)
-            latches.set(self._rob_field(tail, "ready"), 0)
-            latches.set(self._rob_field(tail, "exception"), 0)
-            latches.set(self._rob_field(tail, "expkind"), 0)
-            latches.set(self._rob_field(tail, "is_store"), 0)
-            latches.set(self._rob_field(tail, "is_out"), 0)
-            latches.set(self._rob_field(tail, "is_branch"), 0)
-            latches.set(self._rob_field(tail, "ckpt"), CHECKPOINTS)
-            latches.set(self._rob_field(tail, "pc"), pc)
-            latches.set("rob.tail", (tail + 1) % ROB_ENTRIES)
-            latches.set("rob.count", latches.get("rob.count") + 1)
+            tail = v[at.rob_tail]
+            entry = self._rob[tail % ROB_ENTRIES]
+            v[entry.valid] = 1
+            v[entry.ready] = 0
+            v[entry.exception] = 0
+            v[entry.expkind] = 0
+            v[entry.is_store] = 0
+            v[entry.is_out] = 0
+            v[entry.is_branch] = 0
+            v[entry.ckpt] = CHECKPOINTS & m[entry.ckpt]
+            v[entry.pc] = pc & m[entry.pc]
+            v[at.rob_tail] = ((tail + 1) % ROB_ENTRIES) & m[at.rob_tail]
+            v[at.rob_count] = (v[at.rob_count] + 1) & m[at.rob_count]
             if trap_kind is not None:
-                latches.set(self._rob_field(tail, "op"), 0)
-                latches.set(self._rob_field(tail, "rd"), 0)
-                latches.set(self._rob_field(tail, "exception"), 1)
-                latches.set(self._rob_field(tail, "expkind"), _TRAP_CODES[trap_kind])
-                latches.set(self._rob_field(tail, "ready"), 1)
+                v[entry.op] = 0
+                v[entry.rd] = 0
+                v[entry.exception] = 1
+                v[entry.expkind] = _TRAP_CODES[trap_kind] & m[entry.expkind]
+                v[entry.ready] = 1
                 continue
             info = OPCODE_INFO[instruction.opcode]
             needs_checkpoint = info.is_branch or info.is_jump
-            latches.set(self._rob_field(tail, "op"), int(instruction.opcode))
-            latches.set(self._rob_field(tail, "rd"), instruction.rd)
-            latches.set(self._rob_field(tail, "is_store"), 1 if info.is_store else 0)
-            latches.set(self._rob_field(tail, "is_out"), 1 if info.is_output else 0)
-            latches.set(self._rob_field(tail, "is_branch"), 1 if needs_checkpoint else 0)
+            v[entry.op] = int(instruction.opcode) & m[entry.op]
+            v[entry.rd] = instruction.rd & m[entry.rd]
+            v[entry.is_store] = 1 if info.is_store else 0
+            v[entry.is_out] = 1 if info.is_output else 0
+            v[entry.is_branch] = 1 if needs_checkpoint else 0
             if info.is_store:
-                stq_tail = latches.get("stq.tail")
-                latches.set(self._stq_field(stq_tail, "valid"), 1)
-                latches.set(self._stq_field(stq_tail, "rob"), tail)
-                latches.set(self._stq_field(stq_tail, "addrvalid"), 0)
-                latches.set("stq.tail", (stq_tail + 1) % STQ_ENTRIES)
-                latches.set("stq.count", latches.get("stq.count") + 1)
+                stq_tail = v[at.stq_tail]
+                store = self._stq[stq_tail]
+                v[store.valid] = 1
+                v[store.rob] = tail & m[store.rob]
+                v[store.addrvalid] = 0
+                v[at.stq_tail] = ((stq_tail + 1) % STQ_ENTRIES) & m[at.stq_tail]
+                v[at.stq_count] = (v[at.stq_count] + 1) & m[at.stq_count]
             # Fill the issue-queue entry with renamed operands.
             self._fill_iq_entry(free_iq, instruction, tail, pc, info)
             # Update the rename map for the destination.
             if info.writes_rd and instruction.rd != 0:
-                latches.set(f"rat.r{instruction.rd:02d}.busy", 1)
-                latches.set(f"rat.r{instruction.rd:02d}.rob", tail)
+                rat = self._rat[instruction.rd]
+                v[rat.busy] = 1
+                v[rat.rob] = tail & m[rat.rob]
             # Checkpoint the rename map *after* the control instruction's own
             # destination rename, so recovery restores the map younger
             # instructions must observe on the correct path.
             if needs_checkpoint:
                 ckpt = self._find_free_checkpoint()
-                latches.set(self._rob_field(tail, "ckpt"), ckpt)
+                v[entry.ckpt] = ckpt & m[entry.ckpt]
                 self._save_checkpoint(ckpt)
             # HALT and NOP need no execution: mark ready immediately.
             if instruction.opcode in (Opcode.HALT, Opcode.NOP):
-                latches.set(self._rob_field(tail, "ready"), 1)
-                latches.set(self._iq_field(free_iq, "valid"), 0)
+                v[entry.ready] = 1
+                v[self._iq[free_iq].valid] = 0
 
     def _fill_iq_entry(self, iq_index: int, instruction, rob_index: int, pc: int,
                        info) -> None:
-        latches = self.latches
-        latches.set(self._iq_field(iq_index, "valid"), 1)
-        latches.set(self._iq_field(iq_index, "issued"), 0)
-        latches.set(self._iq_field(iq_index, "op"), int(instruction.opcode))
-        latches.set(self._iq_field(iq_index, "rob"), rob_index)
-        latches.set(self._iq_field(iq_index, "imm"), instruction.imm)
-        latches.set(self._iq_field(iq_index, "pc"), pc)
+        v, m = self.latches.values, self.latches.masks
+        entry = self._iq[iq_index]
+        v[entry.valid] = 1
+        v[entry.issued] = 0
+        v[entry.op] = int(instruction.opcode) & m[entry.op]
+        v[entry.rob] = rob_index & m[entry.rob]
+        v[entry.imm] = instruction.imm & m[entry.imm]
+        v[entry.pc] = pc & m[entry.pc]
         ready1, tag1, value1 = self._rename_source(instruction.rs1, info.reads_rs1)
         ready2, tag2, value2 = self._rename_source(instruction.rs2, info.reads_rs2)
-        latches.set(self._iq_field(iq_index, "s1ready"), ready1)
-        latches.set(self._iq_field(iq_index, "s1tag"), tag1)
-        latches.set(self._iq_field(iq_index, "s1val"), value1)
-        latches.set(self._iq_field(iq_index, "s2ready"), ready2)
-        latches.set(self._iq_field(iq_index, "s2tag"), tag2)
-        latches.set(self._iq_field(iq_index, "s2val"), value2)
+        v[entry.s1ready] = ready1 & m[entry.s1ready]
+        v[entry.s1tag] = tag1 & m[entry.s1tag]
+        v[entry.s1val] = value1 & m[entry.s1val]
+        v[entry.s2ready] = ready2 & m[entry.s2ready]
+        v[entry.s2tag] = tag2 & m[entry.s2tag]
+        v[entry.s2val] = value2 & m[entry.s2val]
 
     def _rename_source(self, arch_reg: int, is_read: bool) -> tuple[int, int, int]:
         """Return (ready, tag, value) for one source operand."""
-        latches = self.latches
+        v = self.latches.values
         if not is_read or arch_reg == 0:
             return 1, 0, self._read_register(arch_reg) if is_read else 0
-        if latches.get(f"rat.r{arch_reg:02d}.busy"):
-            producer = latches.get(f"rat.r{arch_reg:02d}.rob")
-            if not latches.get(self._rob_field(producer, "valid")):
+        rat = self._rat[arch_reg]
+        if v[rat.busy]:
+            producer = v[rat.rob]
+            entry = self._rob[producer % ROB_ENTRIES]
+            if not v[entry.valid]:
                 # Stale mapping (possible transiently under fault injection):
                 # fall back to the architectural value.
                 return 1, 0, self._read_register(arch_reg)
-            if (latches.get(self._rob_field(producer, "ready"))
-                    and not latches.get(self._rob_field(producer, "exception"))):
-                return 1, 0, latches.get(self._rob_field(producer, "result"))
+            if v[entry.ready] and not v[entry.exception]:
+                return 1, 0, v[entry.result]
             return 0, producer, 0
         return 1, 0, self._read_register(arch_reg)
 
     def _find_free_iq_entry(self) -> int | None:
-        latches = self.latches
-        for i in range(IQ_ENTRIES):
-            if not latches.get(self._iq_field(i, "valid")):
+        v = self.latches.values
+        for i, entry in enumerate(self._iq):
+            if not v[entry.valid]:
                 return i
         return None
 
     def _find_free_checkpoint(self) -> int | None:
-        latches = self.latches
-        for i in range(CHECKPOINTS):
-            if not latches.get(f"ckpt.c{i}.valid"):
+        v = self.latches.values
+        for i, ckpt in enumerate(self._ckpt):
+            if not v[ckpt.valid]:
                 return i
         return None
 
     def _save_checkpoint(self, ckpt: int) -> None:
-        latches = self.latches
+        v, m = self.latches.values, self.latches.masks
         packed = 0
-        for r in range(NUM_REGISTERS):
-            fieldvalue = (latches.get(f"rat.r{r:02d}.busy")
-                          | (latches.get(f"rat.r{r:02d}.rob") << 1))
-            packed |= fieldvalue << (7 * r)
-        latches.set(f"ckpt.c{ckpt}.map", packed)
-        latches.set(f"ckpt.c{ckpt}.valid", 1)
+        for r, rat in enumerate(self._rat):
+            packed |= (v[rat.busy] | (v[rat.rob] << 1)) << (7 * r)
+        checkpoint = self._ckpt[ckpt]
+        v[checkpoint.map] = packed & m[checkpoint.map]
+        v[checkpoint.valid] = 1
 
     # ------------------------------------------------------------------ fetch
     def _fetch(self) -> None:
-        latches = self.latches
-        if self._fetch_stalled or latches.get("fetch.stall"):
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        if self._fetch_stalled or v[at.fetch_stall]:
             return
         for _ in range(FETCH_WIDTH):
-            if latches.get("fb.count") >= FETCH_BUFFER_ENTRIES:
+            if v[at.fb_count] >= FETCH_BUFFER_ENTRIES:
                 return
-            pc = latches.get("fetch.pc")
+            pc = v[at.fetch_pc]
             instruction = self._program.instruction_at(pc) if self._program else None
-            tail = latches.get("fb.tail")
-            latches.set(self._fb_field(tail, "pc"), pc)
-            latches.set(self._fb_field(tail, "valid"), 1)
+            tail = v[at.fb_tail]
+            entry = self._fb[tail % FETCH_BUFFER_ENTRIES]
+            v[entry.pc] = pc & m[entry.pc]
+            v[entry.valid] = 1
+            v[at.fb_tail] = ((tail + 1) % FETCH_BUFFER_ENTRIES) & m[at.fb_tail]
+            v[at.fb_count] = (v[at.fb_count] + 1) & m[at.fb_count]
             if instruction is None:
-                latches.set(self._fb_field(tail, "inst"), 0)
-                latches.set(self._fb_field(tail, "fault"), 1)
-                latches.set("fb.tail", (tail + 1) % FETCH_BUFFER_ENTRIES)
-                latches.set("fb.count", latches.get("fb.count") + 1)
-                latches.set("fetch.stall", 1)
+                v[entry.inst] = 0
+                v[entry.fault] = 1
+                v[at.fetch_stall] = 1
                 self._fetch_stalled = True
                 return
-            latches.set(self._fb_field(tail, "inst"), encode_instruction(instruction))
-            latches.set(self._fb_field(tail, "fault"), 0)
-            latches.set("fb.tail", (tail + 1) % FETCH_BUFFER_ENTRIES)
-            latches.set("fb.count", latches.get("fb.count") + 1)
-            latches.set("fetch.pc", (pc + WORD_BYTES) & 0xFFFFFFFF)
+            v[entry.inst] = encode_instruction(instruction) & m[entry.inst]
+            v[entry.fault] = 0
+            v[at.fetch_pc] = (pc + WORD_BYTES) & m[at.fetch_pc]
 
     def _touch_background_state(self) -> None:
         """Advance vanish-class bookkeeping so those flip-flops really toggle."""
-        latches = self.latches
-        latches.set("perf.counter0", (latches.get("perf.counter0") + 1) & (2**48 - 1))
-        latches.set("perf.counter1",
-                    (latches.get("perf.counter1") + len(self._in_flight)) & (2**48 - 1))
-        latches.set("ldq.numentries", len(self._in_flight) & 0xF)
+        v, m, at = self.latches.values, self.latches.masks, self._at
+        in_flight = len(self._in_flight)
+        v[at.perf_counter0] = (v[at.perf_counter0] + 1) & m[at.perf_counter0]
+        v[at.perf_counter1] = (v[at.perf_counter1] + in_flight) & m[at.perf_counter1]
+        v[at.ldq_numentries] = in_flight & m[at.ldq_numentries]

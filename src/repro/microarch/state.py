@@ -6,18 +6,25 @@ write fields through it every cycle, which guarantees that an injected flip
 is observed by whatever logic consumes the latch next -- the property that
 makes flip-flop-level injection meaningful.
 
-Storage is a flat integer array indexed by the frozen
-:class:`~repro.microarch.flipflop.FlipFlopRegistry` order; the name-keyed
-API is a thin view over it (one ``name -> position`` lookup per access, with
-per-structure width masks precomputed at construction).  The flat layout is
-what makes :class:`BatchedLatchState` -- the same state for N cores at once,
-as one ``(lanes, n_structures)`` matrix -- a natural extension, which the
+Storage is one flat integer list, :attr:`LatchState.values`, indexed by the
+frozen :class:`~repro.microarch.flipflop.FlipFlopRegistry` order.  The list
+object lives as long as the state (clearing and deserializing write into
+it), so a core resolves every latch *position* once when it is built --
+:meth:`LatchState.position`, :meth:`LatchState.handles` -- and its step code
+indexes ``values`` directly, masking each write with :attr:`LatchState.masks`.
+The name-keyed API (``get``/``set``/``flip_bit``/``snapshot``/...) is a thin
+view over the same list for tests and tools.  The flat layout is also what
+makes :class:`BatchedLatchState` -- the same state for N cores at once, as
+one ``(lanes, n_structures)`` matrix -- a natural extension, which the
 batched lockstep replay engine (:mod:`repro.engine.batch`) builds on.
 """
 
 from __future__ import annotations
 
-from repro.microarch.flipflop import FlipFlopRegistry, FlipFlopStructure
+from collections import namedtuple
+from typing import Iterable
+
+from repro.microarch.flipflop import FlipFlopRegistry
 
 try:  # numpy backs only the batched state; the scalar path never needs it.
     import numpy as _np
@@ -25,48 +32,67 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
 
+def to_signed(value: int, mask: int) -> int:
+    """``value`` (at most ``mask``'s width) read as two's complement."""
+    return value - ((value << 1) & (mask + 1))
+
+
 class LatchState:
-    """Mutable value store for every flip-flop structure of one core."""
+    """Mutable value store for every flip-flop structure of one core.
+
+    Attributes:
+        values: every structure's value in registry order.  Always the same
+            list object, so positions resolved at build time stay valid
+            across :meth:`clear`, :meth:`deserialize` and core restores.
+        masks: per-position width masks; a write of ``value`` to position
+            ``p`` stores ``value & masks[p]``.
+    """
 
     def __init__(self, registry: FlipFlopRegistry):
         self._registry = registry
         structures = registry.structures
         self._index: dict[str, int] = {s.name: i for i, s in enumerate(structures)}
         self._widths: list[int] = [s.width for s in structures]
-        self._masks: list[int] = [(1 << s.width) - 1 for s in structures]
-        self._data: list[int] = [0] * len(structures)
-        # audit: allow[state-coverage] lazily-built index over the frozen registry layout; derived from structure, not run state
-        self._unit_indices: dict[str, list[int]] | None = None
+        self.masks: tuple[int, ...] = tuple((1 << s.width) - 1 for s in structures)
+        self.values: list[int] = [0] * len(structures)
 
     @property
     def registry(self) -> FlipFlopRegistry:
         return self._registry
 
+    # ------------------------------------------------------------------ positions
+    def position(self, name: str) -> int:
+        """Index of structure ``name`` in :attr:`values` (registry order)."""
+        return self._index[name]
+
+    def handles(self, names: Iterable[str]) -> tuple:
+        """Positions of ``names`` as a named tuple, resolved once.
+
+        Field names are the structure names with dots as underscores
+        (``"w.s.icc"`` -> ``.w_s_icc``).
+        """
+        names = tuple(names)
+        fields = namedtuple("LatchHandles", [n.replace(".", "_") for n in names])
+        return fields._make(self._index[name] for name in names)
+
     # ------------------------------------------------------------------ access
     def get(self, name: str) -> int:
         """Current value of structure ``name`` (unsigned, ``width`` bits)."""
-        return self._data[self._index[name]]
+        return self.values[self._index[name]]
 
     def get_signed(self, name: str) -> int:
         """Current value of structure ``name`` interpreted as two's complement."""
         position = self._index[name]
-        value = self._data[position]
-        sign_bit = 1 << (self._widths[position] - 1)
-        if value & sign_bit:
-            return value - (1 << self._widths[position])
-        return value
+        return to_signed(self.values[position], self.masks[position])
 
     def set(self, name: str, value: int) -> None:
         """Set structure ``name`` to ``value`` (masked to its width)."""
         position = self._index[name]
-        self._data[position] = value & self._masks[position]
+        self.values[position] = value & self.masks[position]
 
     def set_signed(self, name: str, value: int) -> None:
         """Set a structure from a signed Python int (two's complement wrap)."""
         self.set(name, value)
-
-    def get_bit(self, name: str, bit: int) -> int:
-        return (self._data[self._index[name]] >> bit) & 1
 
     def flip_bit(self, name: str, bit: int) -> None:
         """Flip a single bit of a structure (the soft-error primitive)."""
@@ -74,7 +100,7 @@ class LatchState:
         if not 0 <= bit < self._widths[position]:
             raise IndexError(
                 f"bit {bit} out of range for {name} (width {self._widths[position]})")
-        self._data[position] ^= 1 << bit
+        self.values[position] ^= 1 << bit
 
     def flip_flat(self, flat_index: int) -> str:
         """Flip the flip-flop with global index ``flat_index``.
@@ -88,20 +114,11 @@ class LatchState:
     # ------------------------------------------------------------------ bulk
     def clear(self) -> None:
         """Reset every structure to zero (power-on state)."""
-        self._data = [0] * len(self._data)
-
-    def clear_unit(self, unit: str) -> None:
-        """Reset every structure belonging to ``unit`` (used by pipeline flushes)."""
-        if self._unit_indices is None:
-            self._unit_indices = {}
-            for position, structure in enumerate(self._registry.structures):
-                self._unit_indices.setdefault(structure.unit, []).append(position)
-        for position in self._unit_indices.get(unit, ()):
-            self._data[position] = 0
+        self.values[:] = [0] * len(self.values)
 
     def snapshot(self) -> dict[str, int]:
         """Copy of all structure values (used by recovery checkpoints)."""
-        return dict(zip(self._index, self._data))
+        return dict(zip(self._index, self.values))
 
     def restore(self, snapshot: dict[str, int]) -> None:
         """Restore values captured by :meth:`snapshot`.
@@ -119,7 +136,7 @@ class LatchState:
                     f"snapshot names unknown flip-flop structure {name!r} "
                     f"(registry {self._registry.core_name!r})")
         for name, value in snapshot.items():
-            self._data[index[name]] = value
+            self.values[index[name]] = value
 
     # ------------------------------------------------------------------ serialization
     def serialize(self) -> tuple[int, ...]:
@@ -130,7 +147,7 @@ class LatchState:
         cores -- which lets checkpoints travel to worker processes without
         carrying structure names.
         """
-        return tuple(self._data)
+        return tuple(self.values)
 
     def fingerprint_key(self) -> tuple[int, ...]:
         """Canonical hashable key over every latch value (registry order).
@@ -139,22 +156,19 @@ class LatchState:
         two cores with equal keys hold bit-identical flip-flop state, because
         the frozen registry fixes both the structure set and its order.
         """
-        return tuple(self._data)
+        return tuple(self.values)
 
     def deserialize(self, values: "tuple[int, ...] | list[int]") -> None:
-        """Restore values captured by :meth:`serialize`.
+        """Restore values captured by :meth:`serialize` (in place).
 
         Raises:
             ValueError: if ``values`` does not match the registry layout.
         """
-        if len(values) != len(self._data):
+        if len(values) != len(self.values):
             raise ValueError(
                 f"serialized latch state has {len(values)} values, registry "
-                f"expects {len(self._data)}")
-        self._data = list(values)
-
-    def structures(self) -> tuple[FlipFlopStructure, ...]:
-        return self._registry.structures
+                f"expects {len(self.values)}")
+        self.values[:] = values
 
 
 class BatchedLatchState:

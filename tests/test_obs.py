@@ -442,3 +442,28 @@ class TestBenchPersistence:
         assert document["context"]["note"] == "test"
         assert "git" in document["context"]
         assert document["manifest"]["extra"]["benchmark"] == "obs_unit"
+
+    def test_persist_bench_records_host_load_and_cpu_time(self, tmp_path,
+                                                          monkeypatch):
+        benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+        monkeypatch.syspath_prepend(str(benchmarks))
+        monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
+        sys.modules.pop("_harness", None)
+        import _harness
+
+        class Benchmark:  # the pytest-benchmark fixture surface run_once uses
+            def __init__(self):
+                self.extra_info = {}
+
+            def pedantic(self, func, iterations, rounds):
+                return func()
+
+        benchmark = Benchmark()
+        assert _harness.run_once(benchmark, lambda: sum(range(10**5))) \
+            == sum(range(10**5))
+        path = _harness.persist_bench("obs_unit", ["col"], [[1]],
+                                      benchmark=benchmark)
+        context = json.loads(path.read_text())["context"]
+        assert len(context["loadavg"]) == len(context["loadavg_before"]) == 3
+        assert context["wall_s"] > 0 and context["cpu_s"] >= 0
+        assert context["children_cpu_s"] >= 0
