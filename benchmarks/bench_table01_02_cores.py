@@ -2,7 +2,9 @@
 
 Table 1: flip-flop counts, clock frequencies and measured IPC of the two
 cores.  Table 2: fraction of flip-flops with SDC-causing, DUE-causing and
-any error across the benchmark suite.
+any error across the benchmark suite, read from each framework's default
+vulnerability map -- the ``CalibratedVulnerabilityModel``, not an injection
+campaign (``ClearFramework.measure_vulnerability`` runs those).
 """
 
 from __future__ import annotations
@@ -44,6 +46,6 @@ def bench_table02_ff_distribution(benchmark, frameworks):
     rows = run_once(benchmark, payload)
     print()
     print(format_table(
-        "Table 2: flip-flops with SDC-/DUE-causing errors (paper: 60.1/78.3/81.2 InO, "
-        "35.7/52.1/61 OoO)",
+        "Table 2: flip-flops with SDC-/DUE-causing errors, calibrated "
+        "vulnerability model (paper: 60.1/78.3/81.2 InO, 35.7/52.1/61 OoO)",
         ["core", "% FFs with SDC", "% FFs with DUE", "% FFs with SDC or DUE"], rows))

@@ -1,10 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
 Each ``bench_*.py`` file regenerates one or more of the paper's tables or
-figures (see DESIGN.md for the experiment index and EXPERIMENTS.md for
-paper-vs-measured numbers).  All benchmarks run one round so the harness
-completes in minutes; they print the regenerated table to stdout (run pytest
-with ``-s`` to see them).
+figures (see README.md for the repository layout and EXPERIMENTS.md for the
+experiment index and paper-vs-measured numbers).  All benchmarks run one
+round so the harness completes in minutes; they print the regenerated table
+to stdout (run pytest with ``-s`` to see them).
 """
 
 from __future__ import annotations

@@ -67,10 +67,8 @@ per-machine artifact counts while keeping directory listings readable)."""
 
 def artifact_digest(core: BaseCore, program: Program, *,
                     interval: int | None = None,
-                    max_checkpoints: int | None = None,
                     max_cycles: int | None = None,
-                    fingerprint_interval: int | None = None,
-                    max_fingerprints: int | None = None) -> str:
+                    fingerprint_interval: int | None = None) -> str:
     """Content address of one golden artifact, as a hex digest.
 
     Hashes exactly the identity tuple the in-memory
@@ -83,10 +81,8 @@ def artifact_digest(core: BaseCore, program: Program, *,
     worker on a machine.
     """
     key = golden_run_key(core, program, interval=interval,
-                         max_checkpoints=max_checkpoints,
                          max_cycles=max_cycles,
-                         fingerprint_interval=fingerprint_interval,
-                         max_fingerprints=max_fingerprints)
+                         fingerprint_interval=fingerprint_interval)
     return digest_of_key(key)
 
 

@@ -24,8 +24,8 @@ import bisect
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import methodcaller
 
-from repro.engine.schedule import SitePlan
 from repro.isa.encoding import encode_instruction
 from repro.isa.program import Program
 from repro.microarch.core import (
@@ -116,69 +116,53 @@ class CheckpointedGoldenRun:
         return len(self.fingerprints)
 
 
-class _CheckpointRecorder:
-    """Cycle hook that snapshots the core on an (adaptively growing) grid."""
+class _GridRecorder:
+    """Cycle hook that captures the core on an (adaptively growing) grid.
 
-    def __init__(self, interval: int | None, max_checkpoints: int):
-        self.adaptive = interval is None
-        self.interval = interval if interval else INITIAL_CHECKPOINT_INTERVAL
-        self.max_checkpoints = max(1, max_checkpoints)
-        self.snapshots: list[CoreSnapshot] = []
-
-    def __call__(self, core: BaseCore, cycle: int) -> None:
-        if cycle == 0 or cycle % self.interval != 0:
-            return
-        self.snapshots.append(core.snapshot())
-        if self.adaptive and len(self.snapshots) > self.max_checkpoints:
-            self.interval *= 2
-            self.snapshots = [s for s in self.snapshots
-                              if s.cycle % self.interval == 0]
-
-
-class _FingerprintRecorder:
-    """Cycle hook that fingerprints the core on an (adaptively growing) grid.
-
-    Same doubling/thinning policy as the snapshot recorder, but the grid
-    starts :data:`FINGERPRINT_DENSITY` times finer -- a fingerprint is a
-    16-byte digest, not a state copy.
+    ``capture`` takes the core and returns what to keep for a grid point
+    (a snapshot or a state fingerprint).  With ``interval=None`` the grid
+    starts at ``initial_interval`` and doubles -- thinning the captures
+    already taken -- whenever more than ``budget`` are held, so memory stays
+    bounded for any run length; an explicit interval records a fixed grid.
     """
 
-    def __init__(self, interval: int | None, max_fingerprints: int):
+    def __init__(self, capture, interval: int | None,
+                 initial_interval: int, budget: int):
+        self.capture = capture
         self.adaptive = interval is None
-        self.interval = interval if interval else max(
-            1, INITIAL_FINGERPRINT_INTERVAL)
-        self.max_fingerprints = max(1, max_fingerprints)
-        self.fingerprints: dict[int, bytes] = {}
+        self.interval = interval if interval else initial_interval
+        self.budget = budget
+        self.captures: dict[int, object] = {}
 
     def __call__(self, core: BaseCore, cycle: int) -> None:
         if cycle == 0 or cycle % self.interval != 0:
             return
-        self.fingerprints[cycle] = core.state_fingerprint()
-        if self.adaptive and len(self.fingerprints) > self.max_fingerprints:
+        self.captures[cycle] = self.capture(core)
+        if self.adaptive and len(self.captures) > self.budget:
             self.interval *= 2
-            self.fingerprints = {c: digest
-                                 for c, digest in self.fingerprints.items()
-                                 if c % self.interval == 0}
+            self.captures = {c: captured
+                             for c, captured in self.captures.items()
+                             if c % self.interval == 0}
 
 
 def record_checkpointed_golden(core: BaseCore, program: Program,
                                interval: int | None = None,
-                               max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
                                max_cycles: int = DEFAULT_MAX_CYCLES,
                                fingerprint_interval: int | None = None,
-                               max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS,
                                obs: Instrumentation | None = None,
                                ) -> CheckpointedGoldenRun:
     """Run ``program`` on ``core`` once, recording snapshots + fingerprints.
 
-    ``interval=None`` selects the adaptive snapshot grid (bounded snapshot
-    count for any run length); ``interval=0`` disables checkpointing entirely
-    (every injected run replays from cycle 0 -- the pre-engine behaviour,
-    kept for benchmarking baselines).  ``fingerprint_interval`` works the
-    same way for the dense convergence grid: ``None`` adapts from a grid
-    :data:`FINGERPRINT_DENSITY` times finer than the snapshot grid, ``0``
-    records no fingerprints (injected runs always simulate to termination --
-    the pre-convergence baseline).
+    ``interval=None`` selects the adaptive snapshot grid (at most
+    :data:`DEFAULT_MAX_CHECKPOINTS` snapshots for any run length);
+    ``interval=0`` disables checkpointing entirely (every injected run
+    replays from cycle 0 -- the pre-engine behaviour, kept for benchmarking
+    baselines).  ``fingerprint_interval`` works the same way for the dense
+    convergence grid: ``None`` adapts from a grid
+    :data:`FINGERPRINT_DENSITY` times finer than the snapshot grid under
+    :data:`DEFAULT_MAX_FINGERPRINTS`, ``0`` records no fingerprints
+    (injected runs always simulate to termination -- the pre-convergence
+    baseline).
 
     ``obs`` (see :mod:`repro.obs`) wraps the recording in a
     ``golden.record`` span/timer and counts recorded cycles, snapshots and
@@ -189,23 +173,23 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
     if fingerprint_interval is not None and fingerprint_interval < 0:
         raise ValueError(f"fingerprint interval must be >= 0, "
                          f"got {fingerprint_interval}")
-    hooks = []
-    checkpointer = None
-    if interval != 0:
-        checkpointer = _CheckpointRecorder(interval, max_checkpoints)
-        hooks.append(checkpointer)
-    fingerprinter = None
-    if fingerprint_interval != 0:
-        fingerprinter = _FingerprintRecorder(fingerprint_interval,
-                                             max_fingerprints)
-        hooks.append(fingerprinter)
+    checkpointer = (_GridRecorder(methodcaller("snapshot"), interval,
+                                  INITIAL_CHECKPOINT_INTERVAL,
+                                  DEFAULT_MAX_CHECKPOINTS)
+                    if interval != 0 else None)
+    fingerprinter = (_GridRecorder(methodcaller("state_fingerprint"),
+                                   fingerprint_interval,
+                                   INITIAL_FINGERPRINT_INTERVAL,
+                                   DEFAULT_MAX_FINGERPRINTS)
+                     if fingerprint_interval != 0 else None)
+    hooks = tuple(recorder for recorder in (checkpointer, fingerprinter)
+                  if recorder is not None)
     if not hooks:
         hook = None
     elif len(hooks) == 1:
         hook = hooks[0]
     else:
-        def hook(core: BaseCore, cycle: int,
-                 _hooks: tuple = tuple(hooks)) -> None:
+        def hook(core: BaseCore, cycle: int, _hooks: tuple = hooks) -> None:
             for recorder in _hooks:
                 recorder(core, cycle)
     if obs is None:
@@ -215,20 +199,21 @@ def record_checkpointed_golden(core: BaseCore, program: Program,
                                "program": program.name}) as span:
         with obs.metrics.timer(PHASE_GOLDEN_RECORD):
             golden = core.run(program, max_cycles=max_cycles, cycle_hook=hook)
-        span.note(cycles=golden.cycles,
-                  snapshots=len(checkpointer.snapshots) if checkpointer else 0)
+        snapshots = (list(checkpointer.captures.values()) if checkpointer
+                     else [])
+        span.note(cycles=golden.cycles, snapshots=len(snapshots))
+    fingerprints = fingerprinter.captures if fingerprinter else {}
     metrics = obs.metrics
     metrics.inc(COUNT_GOLDEN_RECORDS)
     metrics.inc(CYCLES_GOLDEN, golden.cycles)
     if checkpointer:
-        metrics.inc(COUNT_SNAPSHOTS, len(checkpointer.snapshots))
+        metrics.inc(COUNT_SNAPSHOTS, len(snapshots))
     if fingerprinter:
-        metrics.inc(COUNT_FINGERPRINTS, len(fingerprinter.fingerprints))
+        metrics.inc(COUNT_FINGERPRINTS, len(fingerprints))
     return CheckpointedGoldenRun(
-        golden=golden,
-        snapshots=checkpointer.snapshots if checkpointer else [],
+        golden=golden, snapshots=snapshots,
         interval=checkpointer.interval if checkpointer else 0,
-        fingerprints=fingerprinter.fingerprints if fingerprinter else {},
+        fingerprints=fingerprints,
         fingerprint_interval=(fingerprinter.interval if fingerprinter else 0))
 
 
@@ -242,8 +227,7 @@ class ConvergedEarly(Exception):
 
 def convergence_hook(inner: CycleHook, injection_cycle: int,
                      checkpointed: CheckpointedGoldenRun,
-                     metrics: MetricsRegistry = NULL_METRICS,
-                     plan: SitePlan | None = None) -> CycleHook:
+                     metrics: MetricsRegistry = NULL_METRICS) -> CycleHook:
     """Wrap the injection hook with the fingerprint convergence check.
 
     At fingerprint-grid cycles strictly after the injection, the injected
@@ -255,10 +239,6 @@ def convergence_hook(inner: CycleHook, injection_cycle: int,
     scheduled a recovery, or diverged in output can never match) and
     simulation can stop on the spot (:class:`ConvergedEarly`).
 
-    ``plan`` (a :class:`~repro.engine.schedule.SitePlan`) thins the probe
-    grid adaptively; grid points it skips can only delay the early-out,
-    never change the outcome.
-
     ``metrics`` counts the grid probes and, when timing is enabled, the
     per-probe latency (detailed instrumentation only; the default is the
     shared disabled registry, so the unmetered hook pays one no-op call per
@@ -266,7 +246,6 @@ def convergence_hook(inner: CycleHook, injection_cycle: int,
     """
     fingerprints = checkpointed.fingerprints
     interval = checkpointed.fingerprint_interval
-    base_point = injection_cycle // interval
 
     def hook(core: BaseCore, cycle: int) -> None:
         inner(core, cycle)
@@ -274,9 +253,6 @@ def convergence_hook(inner: CycleHook, injection_cycle: int,
             return
         expected = fingerprints.get(cycle)
         if expected is None:
-            return
-        if plan is not None \
-                and not plan.should_check(cycle // interval - base_point):
             return
         metrics.inc(COUNT_FINGERPRINT_CHECKS)
         timed = metrics.timing
@@ -304,10 +280,8 @@ def _program_fingerprint(program: Program) -> tuple:
 
 def golden_run_key(core: BaseCore, program: Program, *,
                    interval: int | None = None,
-                   max_checkpoints: int | None = None,
                    max_cycles: int | None = None,
-                   fingerprint_interval: int | None = None,
-                   max_fingerprints: int | None = None) -> tuple:
+                   fingerprint_interval: int | None = None) -> tuple:
     """Canonical identity tuple of one checkpointed golden run.
 
     Everything the recorded artifact is a function of: the core's class,
@@ -317,18 +291,14 @@ def golden_run_key(core: BaseCore, program: Program, *,
     content fingerprint, and the recording knobs.  The in-memory cache keys
     on this tuple directly; the persistent artifact store hashes it into a
     content address (:func:`repro.engine.artifacts.artifact_digest`), so
-    the two tiers can never disagree about what a key means.  ``None``
-    budget knobs normalise to the module defaults so explicit-default and
-    default calls address the same artifact.
+    the two tiers can never disagree about what a key means.  A ``None``
+    ``max_cycles`` normalises to the default watchdog so explicit-default
+    and default calls address the same artifact.
     """
     return (type(core).__qualname__, core.name, core.flip_flop_count,
             _program_fingerprint(program), interval,
-            DEFAULT_MAX_CHECKPOINTS if max_checkpoints is None
-            else max_checkpoints,
             DEFAULT_MAX_CYCLES if max_cycles is None else max_cycles,
-            fingerprint_interval,
-            DEFAULT_MAX_FINGERPRINTS if max_fingerprints is None
-            else max_fingerprints)
+            fingerprint_interval)
 
 
 @dataclass(frozen=True)
@@ -405,19 +375,15 @@ class GoldenRunCache:
 
     def get(self, core: BaseCore, program: Program, *,
             interval: int | None = None,
-            max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
             max_cycles: int = DEFAULT_MAX_CYCLES,
             fingerprint_interval: int | None = None,
-            max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS,
             obs: Instrumentation | None = None,
             ) -> CheckpointedGoldenRun:
         """Return the checkpointed golden run: memory, then the artifact
         store, then recording (persisting the fresh recording)."""
         key = golden_run_key(core, program, interval=interval,
-                             max_checkpoints=max_checkpoints,
                              max_cycles=max_cycles,
-                             fingerprint_interval=fingerprint_interval,
-                             max_fingerprints=max_fingerprints)
+                             fingerprint_interval=fingerprint_interval)
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
@@ -435,10 +401,8 @@ class GoldenRunCache:
                     obs.metrics.inc(COUNT_ARTIFACTS_LOADED)
         if recorded is None:
             recorded = record_checkpointed_golden(
-                core, program, interval=interval,
-                max_checkpoints=max_checkpoints, max_cycles=max_cycles,
-                fingerprint_interval=fingerprint_interval,
-                max_fingerprints=max_fingerprints, obs=obs)
+                core, program, interval=interval, max_cycles=max_cycles,
+                fingerprint_interval=fingerprint_interval, obs=obs)
             if self.store is not None and \
                     self.store.save_key(key, recorded) is not None:
                 self.artifacts_saved += 1

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.checkpoint import (
-    DEFAULT_MAX_CHECKPOINTS,
-    DEFAULT_MAX_FINGERPRINTS,
     GOLDEN_RUN_CACHE,
     CheckpointedGoldenRun,
     GoldenRunCache,
@@ -41,7 +39,6 @@ from repro.engine.executors import (
     execute_chunk,
     shard_plan,
 )
-from repro.engine.schedule import ConvergenceSchedule
 from repro.faultinjection.campaign import CampaignResult
 from repro.faultinjection.injector import (
     Injection,
@@ -75,7 +72,6 @@ class EngineConfig:
             snapshot budget; ``0`` disables checkpointing (every injected run
             re-simulates from cycle 0 -- the pre-engine behaviour, kept as a
             benchmarking baseline).
-        max_checkpoints: snapshot budget for the adaptive spacing.
         workers: worker-process count; ``1`` selects the serial executor.
         chunk_size: injections per work shard.  ``None`` derives a size that
             gives each worker a handful of chunks (load balancing without
@@ -89,11 +85,9 @@ class EngineConfig:
             is bit-identical by construction and is skipped.  ``False``
             restores the pre-convergence behaviour (full replay to
             termination, no fingerprint grid recorded) for benchmarking.
-        convergence_interval: fingerprint-grid spacing in cycles.  ``None``
-            (default) adapts a grid ~8-16x denser than the snapshot grid
-            under a bounded budget; ``0`` disables the grid (same baseline
-            as ``convergence=False``).
-        max_fingerprints: fingerprint budget for the adaptive grid spacing.
+            The grid adapts its spacing to the run length, starting ~8x
+            denser than the snapshot grid under a bounded budget, and the
+            gate probes every grid cycle after the injection.
         batch_width: lockstep wavefront width for batched replay
             (:mod:`repro.engine.batch`).  ``0`` (default) keeps every replay
             scalar; ``>= 2`` advances up to that many injected runs of one
@@ -123,34 +117,18 @@ class EngineConfig:
             small campaigns -- a measured regression at 30 injections).
             ``0`` disables the fallback; an explicitly passed executor is
             always honoured as given.
-        adaptive_check_spacing: learn a per-site convergence probe schedule
-            (:mod:`repro.engine.schedule`) across this engine's campaigns:
-            fast-reconverging sites keep dense early probes then back off
-            exponentially, historically diverging sites go sparse
-            immediately.  Probe schedules never change outcomes (a skipped
-            probe only delays the early-out), only the saved-cycle
-            telemetry; schedule state folds through ``ChunkResult`` as
-            per-site integer sums, so it is deterministic across executors.
     """
 
     checkpoint_interval: int | None = None
-    max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS
     workers: int = 1
     chunk_size: int | None = None
     max_cycles: int = DEFAULT_MAX_CYCLES
     convergence: bool = True
-    convergence_interval: int | None = None
-    max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS
     batch_width: int = 0
     metrics: bool = False
     trace: bool | str | Path = False
     artifact_dir: str | Path | None = None
     parallel_threshold: int = 64
-    adaptive_check_spacing: bool = False
-
-    @property
-    def convergence_enabled(self) -> bool:
-        return self.convergence and self.convergence_interval != 0
 
     @property
     def trace_enabled(self) -> bool:
@@ -190,10 +168,6 @@ class InjectionEngine:
             self._executor = ParallelExecutor(workers=self.config.workers)
         else:
             self._executor = SerialExecutor()
-        # Per-site probe-schedule learner; lives as long as the engine so
-        # repeated campaigns keep refining their schedules.
-        self._schedule = (ConvergenceSchedule()
-                          if self.config.adaptive_check_spacing else None)
 
     @property
     def golden_cache(self) -> GoldenRunCache:
@@ -207,11 +181,9 @@ class InjectionEngine:
         return self._cache.get(
             self.core, self.program,
             interval=self.config.checkpoint_interval,
-            max_checkpoints=self.config.max_checkpoints,
             max_cycles=self.config.max_cycles,
-            fingerprint_interval=(self.config.convergence_interval
-                                  if self.config.convergence_enabled else 0),
-            max_fingerprints=self.config.max_fingerprints, obs=obs)
+            fingerprint_interval=None if self.config.convergence else 0,
+            obs=obs)
 
     # ------------------------------------------------------------------ planning
     def resolve_plan(self, plan: list[Injection]) -> list[PlannedInjection]:
@@ -295,19 +267,12 @@ class InjectionEngine:
                 executor = self._select_executor(len(planned))
                 chunks = shard_plan(planned, self.seed,
                                     self._chunk_size(len(planned), executor))
-            schedule_plans = None
-            if (self._schedule is not None and config.convergence_enabled
-                    and checkpointed.fingerprint_interval > 0):
-                schedule_plans = self._schedule.plans_for(
-                    (p.injection.flat_index for p in planned),
-                    checkpointed.fingerprint_interval)
             spec = CampaignSpec(core=self.core, program=self.program,
                                 checkpointed=checkpointed,
-                                convergence=config.convergence_enabled,
+                                convergence=config.convergence,
                                 batch_width=config.batch_width,
                                 metrics=config.metrics,
-                                trace=config.trace_enabled,
-                                schedule_plans=schedule_plans)
+                                trace=config.trace_enabled)
             outcomes = OutcomeCounts()
             per_site: dict[int, OutcomeCounts] = {}
             chunk_results = sorted(
@@ -321,8 +286,6 @@ class InjectionEngine:
                                             else merged.merged_with(counts))
                 obs.metrics.merge(chunk_result.metrics)
                 tracer.absorb(chunk_result.trace_events)
-                if self._schedule is not None:
-                    self._schedule.observe(chunk_result.site_observations)
             span.note(injections=len(planned), chunks=len(chunks))
         merged = obs.metrics
         trace_path = config.trace_path

@@ -46,7 +46,6 @@ from repro.engine.checkpoint import (
     ConvergedEarly,
     convergence_hook,
 )
-from repro.engine.schedule import SitePlan
 from repro.obs import Instrumentation, MetricsRegistry
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.phases import (
@@ -103,11 +102,6 @@ class CampaignSpec:
     counters* are always collected -- they back the campaign telemetry --
     and both flags off is the pre-observability fast path (no clock reads,
     no span objects).
-
-    ``schedule_plans`` carries the engine's adaptive per-site probe
-    schedules, keyed by flat fault-site index; None probes every grid
-    cycle.  Schedules only shape *when* probes run -- outcomes are
-    bit-identical regardless (see :mod:`repro.engine.schedule`).
     """
 
     core: BaseCore
@@ -117,7 +111,6 @@ class CampaignSpec:
     batch_width: int = 0
     metrics: bool = False
     trace: bool = False
-    schedule_plans: dict[int, SitePlan] | None = None
 
 
 @dataclass
@@ -164,11 +157,6 @@ class ChunkResult:
     per_site: dict[int, OutcomeCounts] = field(default_factory=dict)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     trace_events: list[dict] = field(default_factory=list)
-    # {flat_index: (converged, diverged, lag_cycles)} -- the adaptive
-    # schedule's per-site observations.  Integer sums, so campaign-level
-    # merging is independent of chunk partition and completion order.
-    site_observations: dict[int, tuple[int, int, int]] = field(
-        default_factory=dict)
 
     @property
     def replayed_cycles(self) -> int:
@@ -199,18 +187,6 @@ class ChunkResult:
     def record(self, flat_index: int, outcome: OutcomeCategory) -> None:
         self.outcomes.record(outcome)
         self.per_site.setdefault(flat_index, OutcomeCounts()).record(outcome)
-
-    def observe_site(self, flat_index: int, converged_at: int | None,
-                     injection_cycle: int) -> None:
-        """Record one replay's convergence behaviour for schedule learning."""
-        converged, diverged, lag = self.site_observations.get(
-            flat_index, (0, 0, 0))
-        if converged_at is None:
-            diverged += 1
-        else:
-            converged += 1
-            lag += max(0, converged_at - injection_cycle)
-        self.site_observations[flat_index] = (converged, diverged, lag)
 
 
 def shard_plan(planned: list[PlannedInjection], seed: int,
@@ -255,8 +231,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
                              planned: PlannedInjection,
                              checkpointed: CheckpointedGoldenRun,
                              convergence: bool = True,
-                             obs: Instrumentation | None = None,
-                             plan: SitePlan | None = None) -> Replay:
+                             obs: Instrumentation | None = None) -> Replay:
     """Run one injection, fast-forwarding from the nearest golden snapshot
     and early-terminating once the run provably re-converges.
 
@@ -288,7 +263,7 @@ def replay_planned_injection(core: BaseCore, program: Program,
         probe_metrics = (obs.metrics if obs is not None and obs.detailed
                          else NULL_METRICS)
         hook = convergence_hook(hook, planned.injection.cycle, checkpointed,
-                                metrics=probe_metrics, plan=plan)
+                                metrics=probe_metrics)
     snapshot = checkpointed.nearest(planned.injection.cycle)
     resumed_from = 0 if snapshot is None else snapshot.cycle
     tracing = obs is not None and obs.tracer.enabled
@@ -332,8 +307,6 @@ def fold_scalar_replay(result: ChunkResult, planned: PlannedInjection,
     if obs.detailed:
         metrics.observe(HISTOGRAM_REPLAY_CYCLES, replay.simulated_cycles)
     result.record(planned.injection.flat_index, replay.outcome)
-    result.observe_site(planned.injection.flat_index, replay.converged_at,
-                        planned.injection.cycle)
 
 
 def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
@@ -372,13 +345,10 @@ def execute_chunk(spec: CampaignSpec, chunk: ChunkSpec) -> ChunkResult:
                     args={"site": planned.injection.flat_index,
                           "cycle": planned.injection.cycle}) as span:
                 with obs.metrics.timer(PHASE_SCALAR_REPLAY):
-                    plans = spec.schedule_plans
                     replay = replay_planned_injection(
                         spec.core, spec.program, planned, spec.checkpointed,
                         convergence=spec.convergence,
-                        obs=obs if tracing or obs.detailed else None,
-                        plan=(plans.get(planned.injection.flat_index)
-                              if plans else None))
+                        obs=obs if tracing or obs.detailed else None)
                 span.note(outcome=replay.outcome.name,
                           cycles=replay.simulated_cycles,
                           converged_at=replay.converged_at)

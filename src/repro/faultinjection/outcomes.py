@@ -117,8 +117,20 @@ def margin_of_error(sample_size: int, proportion: float = 0.5,
     The paper reports <0.1% margin of error with 95% confidence for its
     multi-million-injection campaigns; our campaign runner reports the
     achieved margin so the precision/time trade-off is explicit.
+
+    The margin is the larger half-width of the Wilson score interval around
+    ``proportion`` (the distance to its farther bound).  Unlike the Wald
+    interval it stays positive at rates of exactly 0 or 1, so a campaign
+    that saw no SDC still reports how rare SDCs could be (~0.037 at 100
+    injections) rather than claiming perfect precision.
     """
     if sample_size <= 0:
         return 1.0
     proportion = min(max(proportion, 0.0), 1.0)
-    return z_score * (proportion * (1.0 - proportion) / sample_size) ** 0.5
+    z2_over_n = z_score * z_score / sample_size
+    center = (proportion + z2_over_n / 2) / (1 + z2_over_n)
+    half_width = z_score / (1 + z2_over_n) * (
+        proportion * (1.0 - proportion) / sample_size
+        + z2_over_n / (4 * sample_size)) ** 0.5
+    return max(center + half_width - proportion,
+               proportion - (center - half_width))

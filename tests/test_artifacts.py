@@ -68,7 +68,7 @@ class TestContentAddressing:
         core = InOrderCore()
         base = artifact_digest(core, program)
         assert artifact_digest(core, program, interval=17) != base
-        assert artifact_digest(core, program, max_checkpoints=3) != base
+        assert artifact_digest(core, program, max_cycles=5000) != base
         assert artifact_digest(core, program, fingerprint_interval=9) != base
 
     def test_digest_distinguishes_cores(self, program):
@@ -76,17 +76,13 @@ class TestContentAddressing:
                 != artifact_digest(OutOfOrderCore(), program))
 
     def test_default_knobs_normalise_to_explicit_defaults(self, program):
-        """None budget knobs hash identically to their explicit defaults, so
+        """A None watchdog hashes identically to the explicit default, so
         the disk tier and the memory tier agree about key identity."""
-        from repro.engine.checkpoint import (DEFAULT_MAX_CHECKPOINTS,
-                                             DEFAULT_MAX_FINGERPRINTS)
         from repro.microarch.core import DEFAULT_MAX_CYCLES
 
         core = InOrderCore()
         assert artifact_digest(core, program) == artifact_digest(
-            core, program, max_checkpoints=DEFAULT_MAX_CHECKPOINTS,
-            max_cycles=DEFAULT_MAX_CYCLES,
-            max_fingerprints=DEFAULT_MAX_FINGERPRINTS)
+            core, program, max_cycles=DEFAULT_MAX_CYCLES)
 
     def test_digest_of_key_matches(self, program):
         core = InOrderCore()

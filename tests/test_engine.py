@@ -33,6 +33,12 @@ from repro.engine import (
     replay_planned_injection,
     run_suite_campaign,
 )
+from repro.engine.checkpoint import (
+    DEFAULT_MAX_CHECKPOINTS,
+    DEFAULT_MAX_FINGERPRINTS,
+    INITIAL_CHECKPOINT_INTERVAL,
+    INITIAL_FINGERPRINT_INTERVAL,
+)
 from repro.faultinjection import (
     FlipFlopInjector,
     Injection,
@@ -53,6 +59,14 @@ CORE_CLASSES = (InOrderCore, OutOfOrderCore)
 @pytest.fixture(scope="module")
 def program():
     return workload_by_name("vpr").program()
+
+
+@pytest.fixture(scope="module")
+def long_golden():
+    """Default-recorded golden of a run long enough (mcf, ~7.4k InO cycles)
+    to double both adaptive grids past their starting intervals."""
+    return record_checkpointed_golden(InOrderCore(),
+                                      workload_by_name("mcf").program())
 
 
 @pytest.fixture(scope="module")
@@ -160,11 +174,12 @@ class TestCheckpointedGolden:
         last = recorded.snapshots[-1]
         assert recorded.nearest(10**9) is last
 
-    def test_adaptive_interval_bounds_snapshot_count(self, program):
-        recorded = record_checkpointed_golden(InOrderCore(), program,
-                                              max_checkpoints=4)
-        assert recorded.checkpoint_count <= 4
-        assert recorded.interval > 64  # doubled at least once on this workload
+    def test_adaptive_interval_bounds_snapshot_count(self, long_golden):
+        assert 0 < long_golden.checkpoint_count <= DEFAULT_MAX_CHECKPOINTS
+        # Doubled at least once on this workload.
+        assert long_golden.interval > INITIAL_CHECKPOINT_INTERVAL
+        assert all(snapshot.cycle % long_golden.interval == 0
+                   for snapshot in long_golden.snapshots)
 
     def test_interval_zero_disables_checkpointing(self, program):
         recorded = record_checkpointed_golden(InOrderCore(), program, interval=0)
@@ -372,12 +387,11 @@ class TestConvergenceGolden:
             core.step()
         assert core.state_fingerprint() == recorded.fingerprints[grid_cycle]
 
-    def test_adaptive_grid_bounds_fingerprint_count(self, program):
-        recorded = record_checkpointed_golden(InOrderCore(), program,
-                                              max_fingerprints=16)
-        assert 0 < recorded.fingerprint_count <= 16
-        assert all(cycle % recorded.fingerprint_interval == 0
-                   for cycle in recorded.fingerprints)
+    def test_adaptive_grid_bounds_fingerprint_count(self, long_golden):
+        assert 0 < long_golden.fingerprint_count <= DEFAULT_MAX_FINGERPRINTS
+        assert long_golden.fingerprint_interval > INITIAL_FINGERPRINT_INTERVAL
+        assert all(cycle % long_golden.fingerprint_interval == 0
+                   for cycle in long_golden.fingerprints)
 
     def test_fingerprint_interval_zero_disables_grid(self, program):
         recorded = record_checkpointed_golden(InOrderCore(), program,
@@ -405,26 +419,40 @@ class TestConvergenceBitExactness:
         seed = data.draw(st.integers(min_value=0, max_value=2**16),
                          label="seed")
         interval = data.draw(st.sampled_from([None, 4, 24]),
-                             label="convergence_interval")
+                             label="fingerprint_interval")
         protected = data.draw(st.booleans(), label="protected")
-        protection = MixedProtection() if protected else None
-        results = []
-        for convergence in (False, True):
-            config = EngineConfig(convergence=convergence,
-                                  convergence_interval=interval)
-            engine = InjectionEngine(core_cls(), program,
-                                     protection=protection, seed=seed,
-                                     config=config,
-                                     golden_cache=GoldenRunCache())
-            results.append(engine.run(injections=10))
-        full, gated = results
-        assert gated.outcomes == full.outcomes
-        assert gated.per_site == full.per_site
-        assert full.converged_count == 0 and full.saved_cycles == 0
+        engine = InjectionEngine(
+            core_cls(), program,
+            protection=MixedProtection() if protected else None, seed=seed)
+        checkpointed = record_checkpointed_golden(
+            core_cls(), program, fingerprint_interval=interval)
+        if interval is not None:
+            assert checkpointed.fingerprint_interval == interval
+        planned = engine.resolve_plan(uniform_injection_plan(
+            engine.core.flip_flop_count, checkpointed.golden.cycles, 10,
+            seed=seed))
+        full, gated = (
+            [replay_planned_injection(engine.core, program, item,
+                                      checkpointed, convergence=convergence)
+             for item in planned]
+            for convergence in (False, True))
+
+        def per_site(replays):
+            tallies = {}
+            for item, replay in zip(planned, replays):
+                tallies.setdefault(item.injection.flat_index,
+                                   OutcomeCounts()).record(replay.outcome)
+            return tallies
+
+        assert [r.outcome for r in gated] == [r.outcome for r in full]
+        assert per_site(gated) == per_site(full)
+        assert all(r.converged_at is None for r in full)
         # Early-outs require a clean event log and matching output, so only
         # Vanished runs ever converge; the saved cycles must be consistent.
-        assert gated.converged_count <= gated.outcomes.vanished_count
-        assert gated.replayed_cycles + gated.saved_cycles == full.replayed_cycles
+        assert all(r.outcome is OutcomeCategory.VANISHED
+                   for r in gated if r.converged_at is not None)
+        assert sum(r.simulated_cycles + r.saved_cycles for r in gated) == \
+            sum(r.simulated_cycles for r in full)
 
     def test_parallel_gated_matches_serial_full_replay(self, program):
         seed, count = 29, 24
@@ -549,11 +577,15 @@ class TestConvergenceReplay:
         assert replay.converged_at is None
         assert replay.outcome is OutcomeCategory.VANISHED
 
-    def test_engine_config_gating_knobs(self):
-        assert EngineConfig().convergence_enabled
-        assert not EngineConfig(convergence=False).convergence_enabled
-        assert not EngineConfig(convergence_interval=0).convergence_enabled
-        assert EngineConfig(convergence_interval=4).convergence_enabled
+    def test_engine_config_gating_knobs(self, program):
+        gated = InjectionEngine(InOrderCore(), program,
+                                golden_cache=GoldenRunCache()).golden()
+        assert gated.fingerprint_interval > 0 and gated.fingerprints
+        ungated = InjectionEngine(InOrderCore(), program,
+                                  config=EngineConfig(convergence=False),
+                                  golden_cache=GoldenRunCache()).golden()
+        assert ungated.fingerprint_interval == 0
+        assert ungated.fingerprints == {}
 
 
 class TestGoldenRunCache:

@@ -92,6 +92,14 @@ class TestOutcomeCounts:
         assert margin_of_error(100) > margin_of_error(10_000)
         assert margin_of_error(0) == 1.0
 
+    def test_margin_of_error_is_positive_without_events(self):
+        """Zero observed SDCs is not perfect precision: the Wilson bound
+        still leaves ~3.7% room at 100 injections (Wald would report 0)."""
+        assert margin_of_error(100, 0.0) > 0
+        assert margin_of_error(100, 0.0) == pytest.approx(0.037, abs=1e-3)
+        assert margin_of_error(100, 1.0) == pytest.approx(
+            margin_of_error(100, 0.0))
+
 
 class TestInjectionPlans:
     def test_uniform_plan_shape(self):
